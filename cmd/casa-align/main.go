@@ -16,41 +16,34 @@
 // status 130. Live state is observable the same way as casa-smem: -http
 // adds /progress and /events, -progress logs terminal snapshots,
 // -stall-timeout arms a watchdog; diagnostics are run-scoped structured
-// logs on stderr (-log-level, -log-format).
+// logs on stderr (-log-level, -log-format). Engine opening and telemetry
+// go through internal/cli, as in casa-smem.
 //
 // Usage:
 //
 //	casa-align -ref ref.fa -reads reads.fq [-out out.sam]            # single-end
 //	casa-align -ref ref.fa -reads r1.fq -reads2 r2.fq [-out out.sam] # paired-end
+//	casa-align -ref ref.fa -index ref.casaidx -reads reads.fq        # prebuilt index
 package main
 
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
-	"os/signal"
-	"time"
 
 	"casa/internal/batch"
-	"casa/internal/buildinfo"
+	"casa/internal/cli"
 	"casa/internal/dna"
 	"casa/internal/engine"
-	"casa/internal/idxio"
-	"casa/internal/metrics"
-	"casa/internal/obshttp"
 	"casa/internal/pairing"
 	"casa/internal/progress"
 	"casa/internal/refidx"
 	"casa/internal/sam"
 	"casa/internal/seedex"
 	"casa/internal/seqio"
-	_ "casa/internal/shard" // registers the sharded:<name> composites
 	"casa/internal/smem"
-	"casa/internal/trace"
 )
 
 // Proper-pair template length window (FR orientation).
@@ -62,9 +55,8 @@ const (
 type aligner struct {
 	ctx        context.Context
 	eng        engine.Engine
-	pos        engine.Positioner // nil = direct-scan fallback over flat
+	pos        engine.Positioner // nil = direct-scan fallback over the reference
 	veng       engine.Engine     // nil = no -verify cross-check
-	flat       dna.Sequence
 	sx         *seedex.Machine
 	ix         *refidx.Index
 	maxHits    int
@@ -76,305 +68,109 @@ type aligner struct {
 	mismatches int
 }
 
-// newLogger builds the command's stderr slog.Logger from the -log-level
-// and -log-format flags.
-func newLogger(level, format string) (*slog.Logger, error) {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("bad -log-level %q: %w", level, err)
-	}
-	opts := &slog.HandlerOptions{Level: lvl}
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	default:
-		return nil, fmt.Errorf("bad -log-format %q (want text or json)", format)
-	}
-}
+// SIGINT cancels the run context: seeding drains its in-flight shards,
+// the completed prefix is aligned and flushed, partial telemetry is
+// published, and the command exits 130. A second SIGINT kills the
+// process immediately.
+func main() { cli.Main(run, os.Interrupt) }
 
-// logSnapshot emits one progress snapshot as an info record — the
-// terminal-ticker counterpart of the /progress endpoint.
-func logSnapshot(log *slog.Logger, s progress.Snapshot) {
-	log.Info("progress",
-		"reads_done", s.ReadsDone,
-		"total_reads", s.TotalReads,
-		"shards_done", s.ShardsDone,
-		"percent_done", fmt.Sprintf("%.1f", s.PercentDone),
-		"host_reads_per_s", fmt.Sprintf("%.0f", s.HostReadsPerS),
-		"model_cycles", s.ModelCycles,
-		"eta_s", fmt.Sprintf("%.1f", s.ETASeconds))
-}
-
-func main() {
-	var (
-		refPath    = flag.String("ref", "", "reference FASTA (required)")
-		indexPath  = flag.String("index", "", "prebuilt casa-idx/v1 index (casa-index output) over the same reference; any persisting engine")
-		readsPath  = flag.String("reads", "", "reads FASTQ (required; mate 1 in paired mode)")
-		reads2     = flag.String("reads2", "", "mate-2 FASTQ (enables paired-end mode)")
-		outPath    = flag.String("out", "-", "SAM output path (- = stdout)")
-		engName    = flag.String("engine", "casa", "seeding engine (any registered name; \"list\" prints them)")
-		verify     = flag.String("verify", "", "cross-check the seeding engine's forward SMEMs against this engine (\"list\" prints the choices)")
-		partition  = flag.Int("partition", 4<<20, "partition size in bases (engines that partition the reference)")
-		maxHits    = flag.Int("max-hits", 4, "extension candidates per SMEM")
-		batchSize  = flag.Int("batch", 4096, "reads seeded per batch")
-		workers    = flag.Int("workers", 0, "seeding worker goroutines (0 = one per CPU)")
-		metricsOut = flag.Bool("metrics", false, "write the metrics text exposition to stderr after the run")
-		tracePath  = flag.String("trace", "", "write a casa-trace/v1 seeding trace (.jsonl = JSONL, else Chrome JSON)")
-		traceSamp  = flag.String("trace-sample", "all", "trace sampling policy: all, head:N, slowest:N")
-		wallPath   = flag.String("walltrace", "", "write a casa-walltrace/v1 host wall-clock profile of the seeding pool (Chrome JSON; analyze with casa-trace -wall)")
-		httpAddr   = flag.String("http", "", "serve /metrics, /trace, /progress, /events and /debug/pprof on this address until interrupted")
-		progEvery  = flag.Duration("progress", 0, "log a progress snapshot at this interval (0 = off)")
-		stallAfter = flag.Duration("stall-timeout", 0, "warn with per-worker state and a goroutine dump when no seeding shard completes for this long (0 = off)")
-		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-		logFormat  = flag.String("log-format", "text", "log output format: text or json")
-		version    = flag.Bool("version", false, "print build info and exit")
-	)
-	flag.Parse()
-	if *version {
-		buildinfo.Print(os.Stdout, "casa-align")
-		return
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	c := cli.New("casa-align", stdout, stderr)
+	fs := c.Flags
+	src := cli.Source{RefRequired: true}
+	var tel cli.Telemetry
+	fs.StringVar(&src.Ref, "ref", "", "reference FASTA (required)")
+	fs.StringVar(&src.Index, "index", "", "prebuilt casa-idx/v1 index (casa-index output) over the same reference; any persisting engine")
+	readsPath := fs.String("reads", "", "reads FASTQ (required; mate 1 in paired mode)")
+	reads2 := fs.String("reads2", "", "mate-2 FASTQ (enables paired-end mode)")
+	outPath := fs.String("out", "-", "SAM output path (- = stdout)")
+	fs.StringVar(&src.Engine, "engine", "casa", "seeding engine (any registered name; \"list\" prints them)")
+	fs.StringVar(&src.Verify, "verify", "", "cross-check the seeding engine's forward SMEMs against this engine (\"list\" prints the choices)")
+	fs.IntVar(&src.Options.Partition, "partition", 4<<20, "partition size in bases (engines that partition the reference)")
+	maxHits := fs.Int("max-hits", 4, "extension candidates per SMEM")
+	batchSize := fs.Int("batch", 4096, "reads seeded per batch")
+	workers := fs.Int("workers", 0, "seeding worker goroutines (0 = one per CPU)")
+	tel.Register(fs)
+	if code, ok := c.Parse(args); !ok {
+		return code
 	}
-	if *engName == "list" || *verify == "list" {
-		engine.WriteList(os.Stdout)
-		return
+	if *readsPath == "" {
+		return c.Usage()
 	}
-	if f, ok := engine.Lookup(*engName); ok {
-		*engName = f.Name
+	if err := src.Resolve(fs); err != nil {
+		return c.Fail(err)
 	}
-	if f, ok := engine.Lookup(*verify); ok {
-		*verify = f.Name
-	}
-	if *refPath == "" || *readsPath == "" {
-		flag.Usage()
-		os.Exit(2)
-	}
-	// With -index the engine identity comes from the container header; an
-	// explicit conflicting -engine is an error, not a silent override.
-	if *indexPath != "" {
-		var engSet bool
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "engine" {
-				engSet = true
-			}
-		})
-		hdr, err := peekHeader(*indexPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "casa-align:", err)
-			os.Exit(1)
-		}
-		if engSet && *engName != hdr.Engine {
-			fmt.Fprintf(os.Stderr, "casa-align: %s holds a %s index; it cannot seed with -engine %s\n",
-				*indexPath, hdr.Engine, *engName)
-			os.Exit(2)
-		}
-		*engName = hdr.Engine
-	}
-	logger, err := newLogger(*logLevel, *logFormat)
+	r, err := c.Start(&tel, src.Engine)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "casa-align:", err)
-		os.Exit(2)
+		return c.Fail(err)
 	}
-	runID := progress.NewRunID()
-	logger = logger.With("run_id", runID, "engine", *engName)
-	// srv is declared before fatal so error exits after -http has started
-	// the observability server still release its listener.
-	var srv *obshttp.Server
-	fatal := func(err error) {
-		logger.Error(err.Error())
-		if srv != nil {
-			srv.Close()
-		}
-		os.Exit(1)
-	}
-
-	// SIGINT cancels the run context: seeding drains its in-flight
-	// shards, the completed prefix is aligned and flushed, partial
-	// telemetry is published, and the command exits 130. A second SIGINT
-	// kills the process immediately.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	ix, err := loadRef(*refPath)
+	// The input streams in batches, so the read total is unknown upfront
+	// (single-end) or learned at load (paired): the tracker starts at 0
+	// and grows via AddTotal, and percent/ETA stay 0 until it is known.
+	// The wall recorder gets one span per claimed shard across every
+	// streamed batch (ReadBase keeps shard names globally unique); the
+	// verify and reverse-complement passes share it.
+	pool := batch.Options{Workers: *workers}
+	o, err := r.Open(&src, &pool, 0)
 	if err != nil {
-		fatal(err)
-	}
-	var eng engine.Engine
-	if *indexPath != "" {
-		f, err := os.Open(*indexPath)
-		if err != nil {
-			fatal(err)
-		}
-		var hdr idxio.Header
-		eng, hdr, err = engine.LoadIndex(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		// The index must describe the same reference -ref resolved to:
-		// extension and SAM emission use -ref's coordinate space, so a
-		// stale index would silently misplace every alignment.
-		if err := checkChromosomes(hdr.Chromosomes, ix.Chromosomes()); err != nil {
-			fatal(fmt.Errorf("%s does not match -ref %s: %w", *indexPath, *refPath, err))
-		}
-	} else {
-		eng, err = engine.New(*engName, ix.Flat(), engine.Options{Partition: *partition})
-		if err != nil {
-			fatal(err)
-		}
+		return r.Fail(err)
 	}
 	var veng engine.Engine
-	if *verify != "" {
-		veng, err = engine.New(*verify, ix.Flat(), engine.Options{})
-		if err != nil {
-			fatal(err)
+	if src.Verify != "" {
+		if veng, err = engine.New(src.Verify, o.Ref.Flat(), engine.Options{}); err != nil {
+			return r.Fail(err)
 		}
 	}
-	sx, err := seedex.New(ix.Flat(), seedex.DefaultConfig())
+	sx, err := seedex.New(o.Ref.Flat(), seedex.DefaultConfig())
 	if err != nil {
-		fatal(err)
+		return r.Fail(err)
 	}
-
-	var out io.Writer = os.Stdout
+	out := stdout
 	if *outPath != "-" {
 		f, err := os.Create(*outPath)
 		if err != nil {
-			fatal(err)
+			return r.Fail(err)
 		}
 		defer f.Close()
 		out = f
 	}
 	var refSeqs []sam.RefSeq
-	for _, c := range ix.Chromosomes() {
-		refSeqs = append(refSeqs, sam.RefSeq{Name: c.Name, Length: c.Length})
+	for _, ch := range o.Ref.Chromosomes() {
+		refSeqs = append(refSeqs, sam.RefSeq{Name: ch.Name, Length: ch.Length})
 	}
-	reg := metrics.New()
-	var tr *trace.Trace
-	if *tracePath != "" || *httpAddr != "" {
-		policy, err := trace.ParsePolicy(*traceSamp)
-		if err != nil {
-			fatal(err)
-		}
-		tr = trace.New(policy, 0)
-	}
-	// The wall recorder profiles the host side of the seeding pool: one
-	// span per claimed shard, across every streamed batch (ReadBase keeps
-	// shard names globally unique). The verify and reverse-complement
-	// passes share it — their spans land under the same workers.
-	var wall *trace.WallTrace
-	if *wallPath != "" {
-		wall = trace.NewWall(0)
-	}
-	pool := batch.Options{Workers: *workers, Metrics: reg, Trace: tr, Wall: wall}
-	// The input streams in batches, so the read total is unknown upfront
-	// (single-end) or learned at load (paired): the tracker starts at 0
-	// and grows via AddTotal, and percent/ETA stay 0 until it is known.
-	tracker := progress.New(runID, *engName, pool.WorkerCount(), 0)
-	pool.Progress = tracker
-	pos, _ := eng.(engine.Positioner)
+	pos, _ := o.Engine.(engine.Positioner)
 	a := &aligner{
-		ctx: ctx, eng: eng, pos: pos, veng: veng, flat: ix.Flat(),
-		sx: sx, ix: ix, maxHits: *maxHits,
-		pool: pool, tracker: tracker,
+		ctx: ctx, eng: o.Engine, pos: pos, veng: veng,
+		sx: sx, ix: o.Ref, maxHits: *maxHits,
+		pool: pool, tracker: r.Tracker,
 		writer: sam.NewWriter(out, refSeqs, "casa-align"),
 	}
-	logger.Info("run starting", "workers", pool.WorkerCount(), "batch", *batchSize, "paired", *reads2 != "")
-
-	if *httpAddr != "" {
-		// Start before aligning so /debug/pprof can profile the run and
-		// /progress and /events observe it live.
-		srv, err = obshttp.Start(*httpAddr, reg)
-		if err != nil {
-			fatal(err)
-		}
-		srv.SetProgress(tracker)
-		logger.Info("observability server listening", "addr", srv.Addr())
-	}
-	if *stallAfter > 0 {
-		wd := progress.NewWatchdog(tracker, *stallAfter, logger)
-		wd.Start()
-		defer wd.Stop()
-	}
-	if *progEvery > 0 {
-		go func() {
-			tick := time.NewTicker(*progEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tracker.Done():
-					return
-				case <-tick.C:
-					logSnapshot(logger, tracker.Snapshot())
-				}
-			}
-		}()
-	}
+	r.Log.Info("run starting", "workers", pool.WorkerCount(), "batch", *batchSize, "paired", *reads2 != "")
 
 	if *reads2 == "" {
 		err = a.runSingle(*readsPath, *batchSize)
 	} else {
 		err = a.runPaired(*readsPath, *reads2, *batchSize)
 	}
-	tracker.Finish()
+	r.Tracker.Finish()
 	interrupted := errors.Is(err, context.Canceled)
 	if err != nil && !interrupted {
-		fatal(err)
+		return r.Fail(err)
 	}
 	if interrupted {
-		logger.Warn("run interrupted; flushing the aligned prefix", "reads_done", a.total)
+		r.Log.Warn("run interrupted; flushing the aligned prefix", "reads_done", a.total)
 	}
 	if err := a.writer.Flush(); err != nil {
-		fatal(err)
+		return r.Fail(err)
 	}
-	a.sx.PublishMetrics(reg)
-	reg.Counter("align/reads/total").Add(int64(a.total))
-	reg.Counter("align/reads/aligned").Add(int64(a.aligned))
-	logger.Info("alignment finished", "aligned", a.aligned, "reads", a.total, "interrupted", interrupted)
+	a.sx.PublishMetrics(r.Metrics)
+	r.Metrics.Counter("align/reads/total").Add(int64(a.total))
+	r.Metrics.Counter("align/reads/aligned").Add(int64(a.aligned))
+	r.Log.Info("alignment finished", "aligned", a.aligned, "reads", a.total, "interrupted", interrupted)
 	if veng != nil {
-		logger.Info("seed verification finished", "verify", *verify, "mismatches", a.mismatches)
+		r.Log.Info("seed verification finished", "verify", src.Verify, "mismatches", a.mismatches)
 	}
-	if tr != nil {
-		// On an interrupted run this is the valid partial trace of the
-		// completed shards.
-		spans := tr.Spans()
-		if srv != nil {
-			srv.PublishTrace(spans)
-		}
-		if *tracePath != "" {
-			if err := trace.WriteFile(*tracePath, spans); err != nil {
-				fatal(err)
-			}
-		}
-	}
-	if wall != nil {
-		spans := wall.Spans()
-		if err := trace.WriteWallFile(*wallPath, spans, wall.Dropped()); err != nil {
-			fatal(err)
-		}
-		logger.Info("wall trace written", "path", *wallPath,
-			"spans", len(spans), "dropped", wall.Dropped())
-	}
-	if *metricsOut {
-		if err := reg.WriteText(os.Stderr); err != nil {
-			fatal(err)
-		}
-	}
-	if srv != nil {
-		if !interrupted {
-			logger.Info("serving observability endpoints until interrupted", "addr", srv.Addr())
-			<-ctx.Done()
-		}
-		if err := srv.Close(); err != nil {
-			logger.Error(err.Error())
-		}
-	}
-	if interrupted {
-		os.Exit(130)
-	}
-	if a.mismatches > 0 {
-		os.Exit(1)
-	}
+	return r.Close(ctx, interrupted, a.mismatches)
 }
 
 // seedBatch seeds one batch and returns per-read forward/reverse seed
@@ -545,7 +341,7 @@ func (a *aligner) hitPositions(strand dna.Sequence, m smem.Match) []int32 {
 	if a.pos != nil {
 		return a.pos.HitPositions(strand, m, a.maxHits)
 	}
-	return engine.Positions(a.flat, strand, m, a.maxHits)
+	return engine.Positions(a.ix.Flat(), strand, m, a.maxHits)
 }
 
 // place extends both strands of one read and resolves the winner to a
@@ -739,49 +535,4 @@ func readAllFastq(path string) ([]seqio.Record, error) {
 	}
 	defer f.Close()
 	return seqio.ReadFastq(f)
-}
-
-// peekHeader reads just the casa-idx/v1 header of an index file.
-func peekHeader(path string) (idxio.Header, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return idxio.Header{}, err
-	}
-	defer f.Close()
-	_, hdr, err := idxio.NewReader(f)
-	return hdr, err
-}
-
-// checkChromosomes requires the index header's chromosome table to match
-// the one -ref resolved to, name for name and coordinate for coordinate.
-// An index written without a chromosome table (chroms omitted at build
-// time) passes — there is nothing to cross-check.
-func checkChromosomes(got []idxio.Chromosome, want []refidx.Chromosome) error {
-	if len(got) == 0 {
-		return nil
-	}
-	if len(got) != len(want) {
-		return fmt.Errorf("index has %d sequences, reference has %d", len(got), len(want))
-	}
-	for i, g := range got {
-		w := want[i]
-		if g.Name != w.Name || g.Start != int64(w.Start) || g.Length != int64(w.Length) {
-			return fmt.Errorf("sequence %d: index has %s [%d,+%d), reference has %s [%d,+%d)",
-				i, g.Name, g.Start, g.Length, w.Name, w.Start, w.Length)
-		}
-	}
-	return nil
-}
-
-func loadRef(path string) (*refidx.Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	recs, err := seqio.ReadFasta(f)
-	if err != nil {
-		return nil, err
-	}
-	return refidx.Build(recs)
 }

@@ -18,27 +18,25 @@
 // The two modes are exclusive: combining -info with any build flag is a
 // usage error (exit 2), not a silent ignore — a typo like
 // `casa-index -info old.casaidx -out new.casaidx` must not masquerade as
-// a successful rebuild.
+// a successful rebuild. The reference loads and the engine builds
+// through internal/cli, as in every command that reads the index back.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"time"
 
-	"casa/internal/buildinfo"
+	"casa/internal/cli"
 	"casa/internal/core"
 	"casa/internal/engine"
 	"casa/internal/idxio"
-	"casa/internal/refidx"
-	"casa/internal/seqio"
-	_ "casa/internal/shard" // registers the sharded:<name> composites
 )
 
 // options holds the parsed command line.
@@ -50,20 +48,11 @@ type options struct {
 	k, m           int
 	shards         int
 	shardOverlap   int
-	version        bool
 
 	// kSet/mSet record whether the casa-specific geometry knobs were
 	// given explicitly; they select the core.Config build path and are
 	// rejected for engines that have no such config.
 	kSet, mSet bool
-}
-
-// buildOnly names the flags that configure an index build and therefore
-// contradict -info, which only reads an existing index.
-var buildOnly = map[string]bool{
-	"ref": true, "out": true, "engine": true, "min-smem": true,
-	"partition": true, "k": true, "m": true,
-	"shards": true, "shard-overlap": true,
 }
 
 // parseArgs registers the flags on fs and parses args, rejecting
@@ -81,7 +70,6 @@ func parseArgs(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.IntVar(&o.shards, "shards", 0, "reference shards for sharded:* engines (0 = engine default)")
 	fs.IntVar(&o.shardOverlap, "shard-overlap", 0, "shard overlap in bases; must be >= the longest read seeded (0 = engine default)")
 	fs.StringVar(&o.info, "info", "", "inspect an existing index instead of building")
-	fs.BoolVar(&o.version, "version", false, "print build info and exit")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -93,85 +81,52 @@ func parseArgs(fs *flag.FlagSet, args []string) (*options, error) {
 		case "m":
 			o.mSet = true
 		}
-		if o.info != "" && buildOnly[f.Name] {
+		// -info only reads an index, so every flag that configures a
+		// build contradicts it.
+		if o.info != "" && (f.Name == "ref" || f.Name == "out" || cli.BuildFlag(f.Name)) {
 			mixed = append(mixed, "-"+f.Name)
 		}
 	})
 	if len(mixed) > 0 {
 		sort.Strings(mixed)
-		return nil, fmt.Errorf("-info inspects an existing index and cannot be combined with build flag(s) %s", strings.Join(mixed, ", "))
+		return nil, cli.Usagef("-info inspects an existing index and cannot be combined with build flag(s) %s", strings.Join(mixed, ", "))
 	}
 	return o, nil
 }
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("casa-index: ")
-	fs := flag.NewFlagSet("casa-index", flag.ExitOnError)
-	o, err := parseArgs(fs, os.Args[1:])
-	if err != nil {
-		log.Print(err)
-		fs.Usage()
-		os.Exit(2)
-	}
+func main() { cli.Main(run) }
 
-	if o.version {
-		buildinfo.Print(os.Stdout, "casa-index")
-		return
-	}
-	if o.eng == "list" {
-		engine.WriteList(os.Stdout)
-		return
+func run(_ context.Context, args []string, stdout, stderr io.Writer) int {
+	c := cli.New("casa-index", stdout, stderr)
+	o, err := parseArgs(c.Flags, args)
+	if code, ok := c.Parsed(err); !ok {
+		return code
 	}
 	if o.info != "" {
-		inspect(o.info)
-		return
+		if err := inspect(stdout, o.info); err != nil {
+			return c.Fail(err)
+		}
+		return 0
 	}
 	if o.ref == "" {
-		fs.Usage()
-		os.Exit(2)
+		return c.Usage()
 	}
-	f, ok := engine.Lookup(o.eng)
-	if !ok {
-		var sb strings.Builder
-		engine.WriteList(&sb)
-		log.Fatalf("unknown engine %q; registered engines:\n%s", o.eng, sb.String())
-	}
-	name := f.Name
-	if f.NewEmpty == nil {
-		log.Fatalf("engine %s does not support index persistence (it rebuilds from FASTA as fast as it would load)", name)
-	}
-
-	rf, err := os.Open(o.ref)
-	if err != nil {
-		log.Fatal(err)
-	}
-	recs, err := seqio.ReadFasta(rf)
-	rf.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-	ix, err := refidx.Build(recs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ref := ix.Flat()
-	var chroms []idxio.Chromosome
-	for _, c := range ix.Chromosomes() {
-		chroms = append(chroms, idxio.Chromosome{
-			Name: c.Name, Start: int64(c.Start), Length: int64(c.Length),
-		})
-	}
-
-	opt := engine.Options{
+	src := cli.Source{Ref: o.ref, Engine: o.eng, Options: engine.Options{
 		MinSMEM:      o.minSMEM,
 		Partition:    o.partition,
 		Shards:       o.shards,
 		ShardOverlap: o.shardOverlap,
+	}}
+	if err := src.Resolve(c.Flags); err != nil {
+		return c.Fail(err)
+	}
+	name := src.Engine
+	if f, _ := engine.Lookup(name); f.NewEmpty == nil {
+		return c.Fail(fmt.Errorf("engine %s does not support index persistence (it rebuilds from FASTA as fast as it would load)", name))
 	}
 	if o.kSet || o.mSet {
 		if strings.TrimPrefix(name, "sharded:") != "casa" {
-			log.Fatalf("-k and -m configure the casa accelerator; they do not apply to -engine %s", name)
+			return c.Fail(fmt.Errorf("-k and -m configure the casa accelerator; they do not apply to -engine %s", name))
 		}
 		cfg := core.DefaultConfig()
 		cfg.K, cfg.M = o.k, o.m
@@ -183,26 +138,30 @@ func main() {
 		if o.partition > 0 {
 			cfg.PartitionBases = o.partition
 		}
-		opt.Config = cfg
+		src.Options.Config = cfg
 	}
 
-	start := time.Now()
-	eng, err := engine.New(name, ref, opt)
-	if err != nil {
-		log.Fatal(err)
-	}
-	buildTime := time.Since(start)
-
-	start = time.Now()
-	size, err := writeAtomic(o.out, func(w io.Writer) error {
-		return engine.SaveIndex(w, eng, opt, chroms)
+	var buildTime time.Duration
+	built, err := src.Open(func(phase string, start time.Time) {
+		if phase == "build" {
+			buildTime = time.Since(start)
+		}
 	})
 	if err != nil {
-		log.Fatal(err)
+		return c.Fail(err)
 	}
-	fmt.Printf("indexed %d bases (%d sequences) for %s in %v; wrote %s (%.1f MB) in %v\n",
-		len(ref), len(chroms), name, buildTime.Round(time.Millisecond),
+	chroms := built.Header.Chromosomes
+	start := time.Now()
+	size, err := writeAtomic(o.out, func(w io.Writer) error {
+		return engine.SaveIndex(w, built.Engine, src.Options, chroms)
+	})
+	if err != nil {
+		return c.Fail(err)
+	}
+	fmt.Fprintf(stdout, "indexed %d bases (%d sequences) for %s in %v; wrote %s (%.1f MB) in %v\n",
+		len(built.Ref.Flat()), len(chroms), name, buildTime.Round(time.Millisecond),
 		o.out, float64(size)/(1<<20), time.Since(start).Round(time.Millisecond))
+	return 0
 }
 
 // writeAtomic streams write into a temporary file beside path and renames
@@ -243,31 +202,32 @@ func writeAtomic(path string, write func(io.Writer) error) (int64, error) {
 
 // inspect prints the casa-idx/v1 header and the section table — name,
 // payload size and CRC32 per section — without loading the engine.
-func inspect(path string) {
+func inspect(w io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer f.Close()
 	hdr, infos, err := idxio.ReadInfo(f)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("%s/v%d %s\n", idxio.Magic, idxio.Version, path)
-	fmt.Printf("  engine: %s\n", hdr.Engine)
-	fmt.Printf("  options: min-smem=%d partition=%d table-k=%d cache-bytes=%d exact=%v shards=%d shard-overlap=%d\n",
+	fmt.Fprintf(w, "%s/v%d %s\n", idxio.Magic, idxio.Version, path)
+	fmt.Fprintf(w, "  engine: %s\n", hdr.Engine)
+	fmt.Fprintf(w, "  options: min-smem=%d partition=%d table-k=%d cache-bytes=%d exact=%v shards=%d shard-overlap=%d\n",
 		hdr.MinSMEM, hdr.Partition, hdr.TableK, hdr.CacheBytes, hdr.Exact, hdr.Shards, hdr.ShardOverlap)
 	if len(hdr.Chromosomes) > 0 {
-		fmt.Printf("  sequences: %d\n", len(hdr.Chromosomes))
+		fmt.Fprintf(w, "  sequences: %d\n", len(hdr.Chromosomes))
 		for _, c := range hdr.Chromosomes {
-			fmt.Printf("    %-20s start %12d  length %12d\n", c.Name, c.Start, c.Length)
+			fmt.Fprintf(w, "    %-20s start %12d  length %12d\n", c.Name, c.Start, c.Length)
 		}
 	}
-	fmt.Printf("  sections: %d\n", len(infos))
+	fmt.Fprintf(w, "  sections: %d\n", len(infos))
 	var total int64
 	for _, s := range infos {
-		fmt.Printf("    %-28s %12d bytes  crc32 %08x\n", s.Name, s.Size, s.CRC)
+		fmt.Fprintf(w, "    %-28s %12d bytes  crc32 %08x\n", s.Name, s.Size, s.CRC)
 		total += s.Size
 	}
-	fmt.Printf("  total payload: %.1f MB\n", float64(total)/(1<<20))
+	fmt.Fprintf(w, "  total payload: %.1f MB\n", float64(total)/(1<<20))
+	return nil
 }

@@ -1,11 +1,18 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"io"
 	"strings"
 	"testing"
+
+	"casa/internal/cli/clitest"
 )
+
+func TestConflictMatrix(t *testing.T) {
+	clitest.ConflictMatrix(t, context.Background(), "casa-index", run)
+}
 
 // TestParseArgsFlagMatrix drives parseArgs over the build/inspect flag
 // matrix. Every combination of -info with an explicit build flag must be

@@ -1,157 +1,103 @@
 // Command casa-sim runs the CASA accelerator simulator over a reference
-// (FASTA) and a read set (FASTQ), printing the modelled throughput,
-// power, DRAM bandwidth, filter statistics, and the Table 4 style
-// breakdown for the run.
+// (FASTA) or a prebuilt casa index and a read set (FASTQ), printing the
+// modelled throughput, power, DRAM bandwidth, filter statistics, and the
+// Table 4 style breakdown for the run. The accelerator opens through
+// internal/cli: under -index the index fixes the geometry, so an
+// explicit geometry flag the header does not record with the same value
+// is a conflict (exit 2).
 //
 // Usage:
 //
 //	casa-sim -ref ref.fa -reads reads.fq [-partition 4194304] [-k 19] [-naive]
+//	casa-sim -index ref.casaidx -reads reads.fq
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
-	"log"
-	"os"
+	"io"
 
-	"casa/internal/buildinfo"
+	"casa/internal/cli"
 	"casa/internal/core"
-	"casa/internal/dna"
 	"casa/internal/engine"
-	"casa/internal/refidx"
-	"casa/internal/seqio"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("casa-sim: ")
-	var (
-		refPath   = flag.String("ref", "", "reference FASTA (required unless -index)")
-		indexPath = flag.String("index", "", "prebuilt casa-idx/v1 index holding a casa accelerator (casa-index output); overrides -ref and geometry flags")
-		readsPath = flag.String("reads", "", "reads FASTQ (required)")
-		partition = flag.Int("partition", 4<<20, "partition size in bases")
-		k         = flag.Int("k", 19, "seed k-mer size")
-		m         = flag.Int("m", 10, "mini index m-mer size")
-		minSMEM   = flag.Int("min-smem", 19, "minimum reported SMEM length")
-		naive     = flag.Bool("naive", false, "disable the pre-seeding filter and analyses")
-		noPrepass = flag.Bool("no-exact-prepass", false, "disable the exact-match prepass")
-		maxReads  = flag.Int("max-reads", 0, "cap the number of reads (0 = all)")
-		version   = flag.Bool("version", false, "print build info and exit")
-	)
-	flag.Parse()
-	if *version {
-		buildinfo.Print(os.Stdout, "casa-sim")
-		return
-	}
-	if (*refPath == "" && *indexPath == "") || *readsPath == "" {
-		flag.Usage()
-		os.Exit(2)
-	}
+func main() { cli.Main(run) }
 
-	reads, err := loadReads(*readsPath, *maxReads)
+func run(_ context.Context, args []string, stdout, stderr io.Writer) int {
+	c := cli.New("casa-sim", stdout, stderr)
+	fs := c.Flags
+	src := cli.Source{Engine: "casa"}
+	cfg := core.DefaultConfig()
+	fs.StringVar(&src.Ref, "ref", "", "reference FASTA (required unless -index)")
+	fs.StringVar(&src.Index, "index", "", "prebuilt casa-idx/v1 index holding a casa accelerator (casa-index output); replaces -ref and fixes the geometry")
+	readsPath := fs.String("reads", "", "reads FASTQ (required)")
+	fs.IntVar(&cfg.PartitionBases, "partition", 4<<20, "partition size in bases")
+	fs.IntVar(&cfg.K, "k", 19, "seed k-mer size")
+	fs.IntVar(&cfg.M, "m", 10, "mini index m-mer size")
+	fs.IntVar(&cfg.MinSMEM, "min-smem", 19, "minimum reported SMEM length")
+	naive := fs.Bool("naive", false, "disable the pre-seeding filter and analyses")
+	noPrepass := fs.Bool("no-exact-prepass", false, "disable the exact-match prepass")
+	maxReads := fs.Int("max-reads", 0, "cap the number of reads (0 = all)")
+	if code, ok := c.Parse(args); !ok {
+		return code
+	}
+	if *readsPath == "" {
+		return c.Usage()
+	}
+	if err := src.Resolve(fs); err != nil {
+		return c.Fail(err)
+	}
+	if *naive {
+		cfg.UseFilterTable = false
+		cfg.UseAnalysis = false
+		cfg.GroupGating = false
+		cfg.EntryGating = false
+	}
+	if *noPrepass {
+		cfg.ExactMatchPrepass = false
+	}
+	src.Options.Config = cfg
+
+	reads, _, err := cli.LoadReads(*readsPath, *maxReads)
 	if err != nil {
-		log.Fatal(err)
+		return c.Fail(err)
 	}
-
+	o, err := src.Open(nil)
+	if err != nil {
+		return c.Fail(err)
+	}
+	// The simulator models the paper's accelerator specifically: any
+	// casa-idx/v1 container works as long as it unwraps to one.
+	u, ok := o.Engine.(engine.Unwrapper)
 	var acc *core.Accelerator
-	if *indexPath != "" {
-		f, err := os.Open(*indexPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		eng, hdr, err := engine.LoadIndex(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		// The simulator models the paper's accelerator specifically: any
-		// casa-idx/v1 container works as long as it unwraps to one.
-		u, ok := eng.(engine.Unwrapper)
-		if ok {
-			acc, ok = u.Unwrap().(*core.Accelerator)
-		}
-		if !ok {
-			log.Fatalf("%s holds a %s index; casa-sim needs a casa index", *indexPath, hdr.Engine)
-		}
-	} else {
-		ref, err := loadRef(*refPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg := core.DefaultConfig()
-		cfg.PartitionBases = *partition
-		cfg.K, cfg.M, cfg.MinSMEM = *k, *m, *minSMEM
-		if *naive {
-			cfg.UseFilterTable = false
-			cfg.UseAnalysis = false
-			cfg.GroupGating = false
-			cfg.EntryGating = false
-		}
-		if *noPrepass {
-			cfg.ExactMatchPrepass = false
-		}
-		acc, err = engine.Build[*core.Accelerator]("casa", ref, engine.Options{Config: cfg})
-		if err != nil {
-			log.Fatal(err)
-		}
+	if ok {
+		acc, ok = u.Unwrap().(*core.Accelerator)
 	}
-	cfg := acc.Config()
-	fmt.Printf("reference: %d partitions; on-chip budget %.1f MB\n",
+	if !ok {
+		return c.Fail(fmt.Errorf("%s holds a %s index; casa-sim needs a casa index", src.Index, o.Header.Engine))
+	}
+	cfg = acc.Config()
+	fmt.Fprintf(stdout, "reference: %d partitions; on-chip budget %.1f MB\n",
 		acc.Partitions(), float64(cfg.OnChipBytes())/(1<<20))
 
 	res := acc.SeedReads(reads)
 	st := res.Stats
-	fmt.Printf("reads:            %d (x2 strands x %d partitions)\n", len(reads), acc.Partitions())
-	fmt.Printf("throughput:       %.3g reads/s (modelled, %d cycles)\n", res.Throughput(), res.Cycles)
-	fmt.Printf("power:            %.2f W   efficiency: %.1f reads/mJ\n", res.Energy.PowerW(), res.ReadsPerMJ())
-	fmt.Printf("DRAM:             %.1f GB/s average\n", res.DRAM.BandwidthGBs(res.Seconds))
-	fmt.Printf("exact-match reads:%d   discarded (no hit): %d\n", st.ReadsExact, st.ReadsDiscarded)
-	fmt.Printf("pivots:           %d total; filtered: table %d, CRkM %d, align %d; computed %d (%.3f%%)\n",
+	fmt.Fprintf(stdout, "reads:            %d (x2 strands x %d partitions)\n", len(reads), acc.Partitions())
+	fmt.Fprintf(stdout, "throughput:       %.3g reads/s (modelled, %d cycles)\n", res.Throughput(), res.Cycles)
+	fmt.Fprintf(stdout, "power:            %.2f W   efficiency: %.1f reads/mJ\n", res.Energy.PowerW(), res.ReadsPerMJ())
+	fmt.Fprintf(stdout, "DRAM:             %.1f GB/s average\n", res.DRAM.BandwidthGBs(res.Seconds))
+	fmt.Fprintf(stdout, "exact-match reads:%d   discarded (no hit): %d\n", st.ReadsExact, st.ReadsDiscarded)
+	fmt.Fprintf(stdout, "pivots:           %d total; filtered: table %d, CRkM %d, align %d; computed %d (%.3f%%)\n",
 		st.PivotsTotal, st.PivotsFilteredTable, st.PivotsFilteredCRkM, st.PivotsFilteredAlign,
 		st.PivotsComputed, 100*float64(st.PivotsComputed)/float64(max(st.PivotsTotal, 1)))
-	fmt.Printf("CAM activity:     %d searches, %d rows enabled, %d stride steps, %d binary-search steps\n",
+	fmt.Fprintf(stdout, "CAM activity:     %d searches, %d rows enabled, %d stride steps, %d binary-search steps\n",
 		st.CAMSearches, st.CAMRowsEnabled, st.StrideSteps, st.BinSearchSteps)
 	smems := 0
 	for _, rr := range res.Reads {
 		smems += len(rr.Forward) + len(rr.Reverse)
 	}
-	fmt.Printf("SMEMs:            %d across both strands\n\n", smems)
-	fmt.Println(res.Energy.String())
-}
-
-// loadRef builds the flat reference the same way casa-index and
-// casa-smem do (refidx.Build), so a -ref run and an -index run over the
-// same FASTA model the identical coordinate space.
-func loadRef(path string) (dna.Sequence, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	recs, err := seqio.ReadFasta(f)
-	if err != nil {
-		return nil, err
-	}
-	ix, err := refidx.Build(recs)
-	if err != nil {
-		return nil, fmt.Errorf("casa-sim: %s: %w", path, err)
-	}
-	return ix.Flat(), nil
-}
-
-func loadReads(path string, maxReads int) ([]dna.Sequence, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var reads []dna.Sequence
-	err = seqio.ForEachFastq(f, func(rec seqio.Record) error {
-		if maxReads > 0 && len(reads) >= maxReads {
-			return nil
-		}
-		reads = append(reads, rec.Seq)
-		return nil
-	})
-	return reads, err
+	fmt.Fprintf(stdout, "SMEMs:            %d across both strands\n\n", smems)
+	fmt.Fprintln(stdout, res.Energy.String())
+	return 0
 }

@@ -1,7 +1,7 @@
 // Package serve is the seeding front door: a long-running multi-tenant
-// HTTP server that loads a reference once, builds one engine via the
-// internal/engine registry, and seeds client-submitted read batches over
-// the shared immutable index — the host-side counterpart of CASA's
+// HTTP server that holds one already-built engine (casa-serve opens it
+// through internal/cli, from a reference or a prebuilt index) and seeds
+// client-submitted read batches over the shared immutable index — the host-side counterpart of CASA's
 // batch-oriented accelerator pipeline, and the serving layer the
 // ROADMAP's "seeding-as-a-service" item calls for.
 //
@@ -12,7 +12,7 @@
 // same inputs. A full queue answers 429 with Retry-After; a client
 // disconnect cancels its run via RunCtx's drain semantics (claimed
 // shards finish, the completed prefix stays consistent) and frees the
-// slot; Shutdown stops accepting, finishes the in-flight and queued
+// slot; Close stops accepting, finishes the in-flight and queued
 // runs, and then stops the dispatcher — the SIGTERM drain casa-serve
 // relies on.
 //
@@ -42,7 +42,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -62,16 +61,11 @@ import (
 	"casa/internal/trace"
 )
 
-// Config tunes the serving layer. The zero value serves the casa engine
-// with library defaults.
+// Config tunes the serving layer. The zero value uses library defaults.
 type Config struct {
-	// Engine is the registry name of the seeding engine ("" = casa).
-	Engine string
-
-	// EngineOptions are the construction knobs passed to the registry.
-	// A zero MinSMEM is resolved to the engines' shared default (19) so
-	// the reported min_smem matches what the engines actually did.
-	EngineOptions engine.Options
+	// MinSMEM is the minimum SMEM length the engine was built with,
+	// reported as min_smem; 0 is the engines' shared default (19).
+	MinSMEM int
 
 	// Workers is the per-run pool size (0 = one per CPU), the same knob
 	// as the CLIs' -workers.
@@ -88,10 +82,6 @@ type Config struct {
 	// completions (0 = 1s).
 	EventInterval time.Duration
 
-	// KeepFinished bounds the finished runs retained for GET /v1/runs
-	// (0 = progress.DefaultKeepFinished).
-	KeepFinished int
-
 	// TraceSpanCapacity bounds the wall-clock lifecycle spans retained
 	// for /debug/runtrace and -trace (0 = trace.DefaultWallCapacity;
 	// five spans per run, oldest runs evicted first).
@@ -104,11 +94,8 @@ type Config struct {
 
 // withDefaults resolves the zero values.
 func (c Config) withDefaults() Config {
-	if c.Engine == "" {
-		c.Engine = "casa"
-	}
-	if c.EngineOptions.MinSMEM == 0 {
-		c.EngineOptions.MinSMEM = 19
+	if c.MinSMEM == 0 {
+		c.MinSMEM = 19
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 8
@@ -144,8 +131,7 @@ type job struct {
 	finished time.Time // run (and report assembly) complete
 }
 
-// Server is a running seeding front door. Create with Start (registry
-// name over a reference) or StartEngine (an already-built engine).
+// Server is a running seeding front door. Create with StartEngine.
 type Server struct {
 	cfg   Config
 	proto engine.Engine // cloned per request: counters never leak across tenants
@@ -165,27 +151,13 @@ type Server struct {
 
 	queue        chan *job
 	quitOnce     sync.Once
-	quit         chan struct{} // closed at Shutdown, after the listener drains
+	quit         chan struct{} // closed at Close, after the listener drains
 	dispatchDone chan struct{}
 	serveDone    chan struct{}
 	draining     atomic.Bool
 
 	mu  sync.Mutex
 	err error
-}
-
-// Start builds cfg.Engine over ref via the registry and serves on addr
-// (host:port; port 0 picks a free port).
-func Start(addr string, ref dna.Sequence, cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults()
-	if f, ok := engine.Lookup(cfg.Engine); ok {
-		cfg.Engine = f.Name
-	}
-	eng, err := engine.New(cfg.Engine, ref, cfg.EngineOptions)
-	if err != nil {
-		return nil, err
-	}
-	return StartEngine(addr, eng, cfg)
 }
 
 // StartEngine serves an already-built engine on addr. proto is never
@@ -202,7 +174,7 @@ func StartEngine(addr string, proto engine.Engine, cfg Config) (*Server, error) 
 		proto:        proto,
 		ln:           ln,
 		reg:          metrics.New(),
-		runs:         progress.NewRegistry(cfg.KeepFinished),
+		runs:         progress.NewRegistry(0),
 		wall:         trace.NewWall(cfg.TraceSpanCapacity),
 		started:      time.Now(),
 		queue:        make(chan *job, cfg.QueueDepth),
@@ -255,9 +227,6 @@ func StartEngine(addr string, proto engine.Engine, cfg Config) (*Server, error) 
 // Addr returns the bound listen address (useful with port 0).
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Runs returns the run registry (snapshots of live and recent runs).
-func (s *Server) Runs() *progress.Registry { return s.runs }
-
 // dispatch is the serving loop: one queued run at a time, in FIFO order.
 // After quit (the listener has drained, so no handler can enqueue) it
 // flushes whatever is left — jobs whose clients disconnected while
@@ -292,7 +261,7 @@ func (s *Server) runJob(j *job) {
 		Schema:  ReportSchema,
 		RunID:   j.tracker.RunID(),
 		Engine:  s.proto.Name(),
-		MinSMEM: s.cfg.EngineOptions.MinSMEM,
+		MinSMEM: s.cfg.MinSMEM,
 		Workers: j.tracker.Workers(),
 	}
 	if err := j.ctx.Err(); err != nil {
@@ -562,31 +531,25 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		s.proto.Name())
 }
 
-// WriteRunTrace writes the wall-clock run lifecycle trace as Chrome
-// trace_event JSON (casa-walltrace/v1) — the document /debug/runtrace
-// serves, and what casa-serve's -trace flag writes at shutdown.
-func (s *Server) WriteRunTrace(w io.Writer) error {
-	return trace.WriteChromeWall(w, s.wall.Spans(), s.wall.Dropped())
-}
-
-// TraceStats reports the lifecycle trace ring's occupancy: the spans
-// currently retained and how many the ring has evicted so far — the
-// numbers /v1/stats serves as trace_spans/trace_dropped, exposed here for
-// casa-serve's shutdown log.
-func (s *Server) TraceStats() (spans int, dropped int64) {
-	return s.wall.Len(), s.wall.Dropped()
+// RunTrace returns the wall-clock run lifecycle trace — the spans the
+// ring retains and how many it has evicted — that /debug/runtrace
+// serves and casa-serve's -trace flag writes at shutdown.
+func (s *Server) RunTrace() ([]trace.WallSpan, int64) {
+	return s.wall.Spans(), s.wall.Dropped()
 }
 
 // Metrics returns the process-level serving registry (for a final flush
 // at shutdown).
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
-// Shutdown drains gracefully: stop accepting (new seeds answer 503
-// while existing connections settle, then the listener closes), wait for
-// every in-flight and queued run to finish and its handler to answer,
-// then stop the dispatcher. It returns the first background serve error,
-// if any.
-func (s *Server) Shutdown(ctx context.Context) error {
+// Close drains gracefully within a 30-second budget: stop accepting
+// (new seeds answer 503 while existing connections settle, then the
+// listener closes), wait for every in-flight and queued run to finish
+// and its handler to answer, then stop the dispatcher. It returns the
+// first background serve error, if any.
+func (s *Server) Close() error {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 	s.draining.Store(true)
 	err := s.srv.Shutdown(ctx)
 	// The listener has drained (or ctx expired): no handler can enqueue
@@ -600,11 +563,4 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return s.err
 	}
 	return err
-}
-
-// Close is Shutdown with a 30-second drain budget.
-func (s *Server) Close() error {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	return s.Shutdown(ctx)
 }

@@ -44,9 +44,13 @@ func testRef(t *testing.T, bases, nReads, readLen int) (dna.Sequence, []byte, []
 	return ref, fq.Bytes(), reads
 }
 
-func startTestServer(t *testing.T, ref dna.Sequence, cfg Config) *Server {
+func startTestServer(t *testing.T, ref dna.Sequence, name string, cfg Config) *Server {
 	t.Helper()
-	s, err := Start("127.0.0.1:0", ref, cfg)
+	eng, err := engine.New(name, ref, engine.Options{MinSMEM: cfg.MinSMEM})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := StartEngine("127.0.0.1:0", eng, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +104,7 @@ func metricsJSON(t *testing.T, raw []byte) []byte {
 // one loaded reference both do.
 func TestSeedMatchesOfflineRun(t *testing.T) {
 	ref, fq, reads := testRef(t, 1<<14, 60, 80)
-	cfg := Config{Engine: "casa", Workers: 4, EngineOptions: engine.Options{MinSMEM: 19}}
-	s := startTestServer(t, ref, cfg)
+	s := startTestServer(t, ref, "casa", Config{Workers: 4, MinSMEM: 19})
 
 	// The offline equivalent: same engine, same options, same pool shape.
 	eng, err := engine.New("casa", ref, engine.Options{MinSMEM: 19})
@@ -165,7 +168,7 @@ func TestSeedMatchesOfflineRun(t *testing.T) {
 // sets agreeing with a direct engine run.
 func TestSeedResultsExtension(t *testing.T) {
 	ref, fq, reads := testRef(t, 1<<13, 10, 60)
-	s := startTestServer(t, ref, Config{Engine: "fmindex"})
+	s := startTestServer(t, ref, "fmindex", Config{})
 
 	code, rep, _ := postSeed(t, "http://"+s.Addr()+"/v1/seed?include=smems", fq)
 	if code != http.StatusOK {
@@ -197,7 +200,7 @@ func TestSeedResultsExtension(t *testing.T) {
 // immediately), then the terminal report event carrying casa-smem/v1.
 func TestSeedSSE(t *testing.T) {
 	ref, fq, reads := testRef(t, 1<<14, 40, 80)
-	s := startTestServer(t, ref, Config{Engine: "casa", Workers: 2})
+	s := startTestServer(t, ref, "casa", Config{Workers: 2})
 
 	req, err := http.NewRequest(http.MethodPost, "http://"+s.Addr()+"/v1/seed", bytes.NewReader(fq))
 	if err != nil {
@@ -423,7 +426,7 @@ func TestClientDisconnectFreesSlot(t *testing.T) {
 // a run, and unknown IDs 404.
 func TestRunsEndpoint(t *testing.T) {
 	ref, fq, reads := testRef(t, 1<<13, 20, 60)
-	s := startTestServer(t, ref, Config{Engine: "casa"})
+	s := startTestServer(t, ref, "casa", Config{})
 	base := "http://" + s.Addr()
 
 	code, rep, _ := postSeed(t, base+"/v1/seed", fq)
@@ -481,7 +484,7 @@ func TestRunsEndpoint(t *testing.T) {
 // empty and malformed bodies, oversized batches, multipart extraction.
 func TestSeedRejections(t *testing.T) {
 	ref, _, _ := testRef(t, 1<<12, 1, 60)
-	s := startTestServer(t, ref, Config{Engine: "fmindex", MaxBodyBytes: 256})
+	s := startTestServer(t, ref, "fmindex", Config{MaxBodyBytes: 256})
 	url := "http://" + s.Addr() + "/v1/seed"
 
 	if resp, err := http.Get(url); err != nil {
@@ -529,7 +532,7 @@ func TestSeedRejections(t *testing.T) {
 }
 
 // TestDrainFinishesInFlight starts a run, shuts the server down while it
-// is in flight, and checks Shutdown waits for the run and the client
+// is in flight, and checks Close waits for the run and the client
 // still receives its full report.
 func TestDrainFinishesInFlight(t *testing.T) {
 	be := &blockingEngine{release: make(chan struct{}), started: make(chan struct{}, 16)}
@@ -571,7 +574,7 @@ func TestDrainFinishesInFlight(t *testing.T) {
 	}
 	select {
 	case <-shut:
-		t.Fatal("Shutdown returned while a run was still in flight")
+		t.Fatal("Close returned while a run was still in flight")
 	case <-time.After(50 * time.Millisecond):
 	}
 
@@ -619,7 +622,7 @@ func TestParseReadsSniffsFormats(t *testing.T) {
 // is a 400 naming the supported set, not a silently thinner report.
 func TestIncludeRejectsUnknown(t *testing.T) {
 	ref, fq, _ := testRef(t, 1<<12, 2, 60)
-	s := startTestServer(t, ref, Config{Engine: "fmindex"})
+	s := startTestServer(t, ref, "fmindex", Config{})
 	url := "http://" + s.Addr() + "/v1/seed"
 
 	code, _, raw := postSeed(t, url+"?include=smem", fq)
@@ -663,7 +666,7 @@ func TestRetryAfterSeconds(t *testing.T) {
 // middleware's deferred record lands) the per-endpoint http map.
 func TestStatsEndpoint(t *testing.T) {
 	ref, fq, reads := testRef(t, 1<<13, 10, 60)
-	s := startTestServer(t, ref, Config{Engine: "casa"})
+	s := startTestServer(t, ref, "casa", Config{})
 	base := "http://" + s.Addr()
 
 	if code, _, _ := postSeed(t, base+"/v1/seed", fq); code != http.StatusOK {
@@ -732,7 +735,7 @@ func TestStatsEndpoint(t *testing.T) {
 // the lifecycle span chain of a completed run, named by its run ID.
 func TestRunTraceEndpoint(t *testing.T) {
 	ref, fq, _ := testRef(t, 1<<13, 5, 60)
-	s := startTestServer(t, ref, Config{Engine: "casa"})
+	s := startTestServer(t, ref, "casa", Config{})
 	base := "http://" + s.Addr()
 
 	code, rep, _ := postSeed(t, base+"/v1/seed", fq)
@@ -811,7 +814,7 @@ func TestRunTraceEndpoint(t *testing.T) {
 // the lifetime utilization stats (worker_busy_us, run_imbalance).
 func TestRunWallFolding(t *testing.T) {
 	ref, fq, _ := testRef(t, 1<<13, 12, 60)
-	s := startTestServer(t, ref, Config{Engine: "casa", Workers: 2})
+	s := startTestServer(t, ref, "casa", Config{Workers: 2})
 	base := "http://" + s.Addr()
 
 	code, rep, _ := postSeed(t, base+"/v1/seed", fq)
@@ -870,7 +873,7 @@ func TestRunWallFolding(t *testing.T) {
 // identity without breaking status-code-only consumers.
 func TestHealthzBuildInfo(t *testing.T) {
 	ref, _, _ := testRef(t, 1<<12, 1, 60)
-	s := startTestServer(t, ref, Config{Engine: "casa"})
+	s := startTestServer(t, ref, "casa", Config{})
 
 	resp, err := http.Get("http://" + s.Addr() + "/healthz")
 	if err != nil {

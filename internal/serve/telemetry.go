@@ -226,7 +226,7 @@ func (s *Server) handleRunTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := s.WriteRunTrace(w); err != nil {
+	if err := trace.WriteChromeWall(w, s.wall.Spans(), s.wall.Dropped()); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }

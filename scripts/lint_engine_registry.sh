@@ -10,6 +10,8 @@
 #      (func SeedCASA / SeedERT / SeedGenAx / SeedGenCache / SeedCPU ...).
 #   2. a command under cmd/ reintroduces a local engine name-switch
 #      (case "casa": ... / func build(...)) instead of engine.New.
+#   3. a command under cmd/ opens a reference or an index by hand
+#      instead of through the internal/cli harness.
 #
 # Run from the repository root: scripts/lint_engine_registry.sh
 
@@ -38,7 +40,17 @@ if grep -nE 'func build\(' cmd/*/*.go; then
     fail=1
 fi
 
+# 3. Hand-rolled engine opening in commands. internal/cli is the one
+# path from -ref/-index to an engine (with its conflict rules) and from
+# -log-level/-log-format to a logger. casa-bench is exempt: it times
+# engine.LoadIndex itself over an in-memory index.
+if grep -nE 'func (newLogger|loadRef|peekHeader|loadIndexEngine)\(|engine\.LoadIndex\(|idxio\.NewReader\(' \
+    $(ls cmd/*/*.go | grep -v '^cmd/casa-bench/'); then
+    echo "lint_engine_registry: a command opens a reference or index by hand (use internal/cli)" >&2
+    fail=1
+fi
+
 if [ "$fail" -eq 0 ]; then
-    echo "lint_engine_registry: OK — engine dispatch stays in internal/engine"
+    echo "lint_engine_registry: OK — engine dispatch stays in internal/engine, engine opening in internal/cli"
 fi
 exit "$fail"
