@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover lint bench bench-quick bench-baseline bench-all fuzz live-smoke serve-smoke walltrace-smoke index-smoke experiments ablations examples clean
+.PHONY: all build test race cover lint bench bench-quick bench-baseline bench-all bench-kernels fuzz live-smoke serve-smoke walltrace-smoke index-smoke experiments ablations examples clean
 
 all: build test lint
 
@@ -57,7 +57,14 @@ bench-baseline:
 bench-all:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 
+# Per-layer kernel benchmarks of the extension tail: the band-only BSW
+# fit (SeedEx and mate-rescue shapes), a whole SeedEx read extension and
+# the Myers edit machine, each with its allocations.
+bench-kernels:
+	$(GO) test -run '^$$' -bench 'BandedFit|ExtendRead|EditDistance' -benchmem ./internal/align/ ./internal/seedex/
+
 fuzz:
+	$(GO) test ./internal/align/ -fuzz FuzzBandedFit -fuzztime 15s
 	$(GO) test ./internal/seqio/ -fuzz FuzzReadFasta -fuzztime 15s
 	$(GO) test ./internal/seqio/ -fuzz FuzzReadFastq -fuzztime 15s
 	$(GO) test ./internal/idxio/ -fuzz FuzzIndexRoundTrip -fuzztime 15s

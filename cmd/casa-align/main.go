@@ -2,7 +2,10 @@
 // aligner built from this repository's components, mirroring the paper's
 // §5 system: a registry engine seeds reads (SMEMs + hit positions), 5
 // SeedEx machines extend the seeds with banded Smith-Waterman and verify
-// with Myers edit machines, and alignments stream out as SAM.
+// with Myers edit machines, and alignments stream out as SAM. Seeding and
+// extension both run on the worker pool (-workers: worker goroutines for
+// seeding and extension); each extension worker owns its SeedEx machine,
+// and SAM records are written in input order.
 //
 // Any engine registered in internal/engine can seed (-engine; "list"
 // prints them). casa resolves both strands and hit positions natively;
@@ -57,7 +60,7 @@ type aligner struct {
 	eng        engine.Engine
 	pos        engine.Positioner // nil = direct-scan fallback over the reference
 	veng       engine.Engine     // nil = no -verify cross-check
-	sx         *seedex.Machine
+	sx         []*seedex.Machine // one per extension worker
 	ix         *refidx.Index
 	maxHits    int
 	pool       batch.Options
@@ -89,7 +92,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&src.Options.Partition, "partition", 4<<20, "partition size in bases (engines that partition the reference)")
 	maxHits := fs.Int("max-hits", 4, "extension candidates per SMEM")
 	batchSize := fs.Int("batch", 4096, "reads seeded per batch")
-	workers := fs.Int("workers", 0, "seeding worker goroutines (0 = one per CPU)")
+	workers := fs.Int("workers", 0, "worker goroutines for seeding and extension (0 = one per CPU)")
 	tel.Register(fs)
 	if code, ok := c.Parse(args); !ok {
 		return code
@@ -121,9 +124,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return r.Fail(err)
 		}
 	}
-	sx, err := seedex.New(o.Ref.Flat(), seedex.DefaultConfig())
-	if err != nil {
-		return r.Fail(err)
+	sx := make([]*seedex.Machine, pool.WorkerCount())
+	for w := range sx {
+		if sx[w], err = seedex.New(o.Ref.Flat(), seedex.DefaultConfig()); err != nil {
+			return r.Fail(err)
+		}
 	}
 	out := stdout
 	if *outPath != "-" {
@@ -163,7 +168,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err := a.writer.Flush(); err != nil {
 		return r.Fail(err)
 	}
-	a.sx.PublishMetrics(r.Metrics)
+	for _, m := range a.sx {
+		m.PublishMetrics(r.Metrics)
+	}
 	r.Metrics.Counter("align/reads/total").Add(int64(a.total))
 	r.Metrics.Counter("align/reads/aligned").Add(int64(a.aligned))
 	r.Log.Info("alignment finished", "aligned", a.aligned, "reads", a.total, "interrupted", interrupted)
@@ -248,22 +255,13 @@ func (a *aligner) runSingle(path string, batchSize int) error {
 		// Later batches keep globally unique read indices in the trace.
 		a.pool.ReadBase = a.total
 		seeds, done, seedErr := a.seedBatch(reads)
-		for i := 0; i < done; i++ {
-			rec := recs[i]
-			p := a.place(rec.Seq, seeds[i])
-			out := a.recordSingle(rec, p)
-			if out.Flag&sam.FlagUnmapped == 0 {
-				a.aligned++
-			}
-			if err := a.writer.Write(out); err != nil {
-				return err
-			}
-		}
-		a.total += done
-		// The extension phase runs outside the seeding pool: refresh the
-		// stall watchdog so a long extension is not reported as a hang.
-		a.tracker.Touch()
+		err := a.alignBatch(done, 1, func(sx *seedex.Machine, i int, out []sam.Record) []sam.Record {
+			return append(out, a.recordSingle(recs[i], a.place(sx, recs[i].Seq, seeds[i])))
+		})
 		recs = recs[:0]
+		if err != nil {
+			return err
+		}
 		return seedErr
 	}
 	err = seqio.ForEachFastq(in, func(rec seqio.Record) error {
@@ -302,26 +300,59 @@ func (a *aligner) runPaired(path1, path2 string, batchSize int) error {
 		}
 		a.pool.ReadBase = 2 * lo // mates interleave: global read index = 2*pair + mate
 		seeds, done, seedErr := a.seedBatch(reads)
-		for i := lo; i < lo+done/2; i++ {
-			p1 := a.place(r1[i].Seq, seeds[2*(i-lo)])
-			p2 := a.place(r2[i].Seq, seeds[2*(i-lo)+1])
+		err := a.alignBatch(done/2, 2, func(sx *seedex.Machine, k int, out []sam.Record) []sam.Record {
+			i := lo + k
+			p1 := a.place(sx, r1[i].Seq, seeds[2*k])
+			p2 := a.place(sx, r2[i].Seq, seeds[2*k+1])
 			p1, p2 = a.rescuePair(r1[i], r2[i], p1, p2)
 			rec1, rec2 := a.recordPair(r1[i], r2[i], p1, p2)
-			for _, rec := range []sam.Record{rec1, rec2} {
-				if rec.Flag&sam.FlagUnmapped == 0 {
-					a.aligned++
-				}
-				if err := a.writer.Write(rec); err != nil {
-					return err
-				}
-			}
-			a.total += 2
+			return append(out, rec1, rec2)
+		})
+		if err != nil {
+			return err
 		}
-		a.tracker.Touch()
 		if seedErr != nil {
 			return seedErr
 		}
 	}
+	return nil
+}
+
+// extendShardsPerWorker is the extension pool's load-balancing factor,
+// as for seeding: each worker gets about this many shards of a batch.
+const extendShardsPerWorker = 4
+
+// alignBatch extends the seeded prefix of one batch on the worker pool
+// and writes its SAM records in input order. The prefix is templates
+// templates of unit reads each (1 single-end, 2 paired); shards hold
+// whole templates, and fn places template t with the worker's own SeedEx
+// machine, appending its records to out. The pool runs to completion
+// even once the run is cancelled, so an interrupted batch's seeded prefix
+// is still written in full. Each finished shard refreshes the stall
+// watchdog, since the pool reports no seeding progress.
+func (a *aligner) alignBatch(templates, unit int, fn func(sx *seedex.Machine, t int, out []sam.Record) []sam.Record) error {
+	o := batch.Options{Workers: a.pool.Workers, Engine: seedex.Engine, Wall: a.pool.Wall, ReadBase: a.pool.ReadBase}
+	perShard := o.WorkerCount() * extendShardsPerWorker
+	o.Grain = unit * max(1, (templates+perShard-1)/perShard)
+	shards := batch.Run(templates*unit, o, func(w, lo, hi int) []sam.Record {
+		out := make([]sam.Record, 0, hi-lo)
+		for t := lo / unit; t < hi/unit; t++ {
+			out = fn(a.sx[w], t, out)
+		}
+		a.tracker.Touch()
+		return out
+	})
+	for _, recs := range shards {
+		for _, rec := range recs {
+			if rec.Flag&sam.FlagUnmapped == 0 {
+				a.aligned++
+			}
+			if err := a.writer.Write(rec); err != nil {
+				return err
+			}
+		}
+	}
+	a.total += templates * unit
 	return nil
 }
 
@@ -344,9 +375,9 @@ func (a *aligner) hitPositions(strand dna.Sequence, m smem.Match) []int32 {
 	return engine.Positions(a.ix.Flat(), strand, m, a.maxHits)
 }
 
-// place extends both strands of one read and resolves the winner to a
-// chromosome.
-func (a *aligner) place(read dna.Sequence, rs engine.Seeds) placement {
+// place extends both strands of one read on sx and resolves the winner
+// to a chromosome.
+func (a *aligner) place(sx *seedex.Machine, read dna.Sequence, rs engine.Seeds) placement {
 	toSeeds := func(strand dna.Sequence, smems []smem.Match) []seedex.Seed {
 		var seeds []seedex.Seed
 		for _, m := range smems {
@@ -361,11 +392,11 @@ func (a *aligner) place(read dna.Sequence, rs engine.Seeds) placement {
 		rev bool
 	}
 	var cands []cand
-	if al, ok := a.sx.ExtendRead(read, toSeeds(read, rs.Forward)); ok {
+	if al, ok := sx.ExtendRead(read, toSeeds(read, rs.Forward)); ok {
 		cands = append(cands, cand{al, false})
 	}
 	rc := read.ReverseComplement()
-	if al, ok := a.sx.ExtendRead(rc, toSeeds(rc, rs.Reverse)); ok {
+	if al, ok := sx.ExtendRead(rc, toSeeds(rc, rs.Reverse)); ok {
 		cands = append(cands, cand{al, true})
 	}
 	if len(cands) == 0 {

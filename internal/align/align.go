@@ -1,8 +1,8 @@
 // Package align provides the sequence-alignment substrate for the SeedEx
-// seed-extension stage: affine-gap Smith-Waterman (local), banded global
-// alignment (the BSW core computation), and Myers bit-parallel edit
-// distance (the edit-machine computation). Scores follow BWA-MEM2's
-// defaults.
+// seed-extension stage: affine-gap Smith-Waterman (local, the full-DP
+// golden), banded fitting alignment (the BSW core computation), and Myers
+// bit-parallel edit distance (the edit-machine computation). Scores
+// follow BWA-MEM2's defaults.
 package align
 
 import "fmt"

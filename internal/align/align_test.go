@@ -2,6 +2,7 @@ package align
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -140,62 +141,6 @@ func TestLocalCigarConsistent(t *testing.T) {
 	}
 }
 
-func TestBandedGlobalExact(t *testing.T) {
-	sc := BWAMEM2()
-	s := dna.FromString("ACGTACGTAC")
-	r, ok := BandedGlobal(s, s, 3, sc)
-	if !ok || r.Score != 10 || r.Cigar.String() != "10M" {
-		t.Errorf("banded exact: %+v ok=%v", r, ok)
-	}
-}
-
-func TestBandedGlobalMatchesFullDPWithinBand(t *testing.T) {
-	// With a band wide enough, banded global must equal unbanded global.
-	rng := rand.New(rand.NewSource(3))
-	sc := BWAMEM2()
-	for trial := 0; trial < 40; trial++ {
-		a := randSeq(rng, 20+rng.Intn(20))
-		b := a.Clone()
-		for i := 0; i < rng.Intn(4); i++ {
-			b[rng.Intn(len(b))] = dna.Base(rng.Intn(4))
-		}
-		wide, ok1 := BandedGlobal(a, b, len(a)+len(b), sc)
-		wider, ok2 := BandedGlobal(a, b, len(a)+len(b)+10, sc)
-		if !ok1 || !ok2 || wide.Score != wider.Score {
-			t.Fatalf("band width changed unbounded score: %v %v", wide.Score, wider.Score)
-		}
-	}
-}
-
-func TestBandedGlobalRejectsOutOfBand(t *testing.T) {
-	sc := BWAMEM2()
-	a := dna.FromString("AAAA")
-	b := dna.FromString("AAAAAAAAAAAA")
-	if _, ok := BandedGlobal(a, b, 2, sc); ok {
-		t.Error("length difference beyond band accepted")
-	}
-}
-
-func TestBandedGlobalCigarSpansBoth(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	sc := BWAMEM2()
-	for trial := 0; trial < 30; trial++ {
-		a := randSeq(rng, 30)
-		b := a.Clone()
-		// Inject one indel.
-		if rng.Intn(2) == 0 && len(b) > 5 {
-			b = append(b[:3], b[4:]...)
-		}
-		r, ok := BandedGlobal(a, b, 8, sc)
-		if !ok {
-			t.Fatal("in-band alignment rejected")
-		}
-		if r.Cigar.QueryLen() != len(a) || r.Cigar.RefLen() != len(b) {
-			t.Fatalf("cigar %s does not span %dx%d", r.Cigar, len(a), len(b))
-		}
-	}
-}
-
 func TestBandedFitExactInsideWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	sc := BWAMEM2()
@@ -253,6 +198,192 @@ func TestBandedFitEmptyQuery(t *testing.T) {
 	}
 }
 
+// bandedFitFull is the full-matrix banded fit BandedFit replaced: three
+// (n+1)x(m+1) matrices filled with neg, of which the DP touches only the
+// band. It is the golden oracle the band-only kernel must equal exactly,
+// traceback tie-breaks included.
+func bandedFitFull(query, ref dna.Sequence, band int, sc Scoring) (Result, bool) {
+	n, m := len(query), len(ref)
+	if band < 1 {
+		band = 1
+	}
+	if n == 0 {
+		return Result{}, false
+	}
+	const neg = -1 << 28
+	H := mat(n+1, m+1)
+	E := mat(n+1, m+1)
+	F := mat(n+1, m+1)
+	for i := 0; i <= n; i++ {
+		for j := 0; j <= m; j++ {
+			H[i][j], E[i][j], F[i][j] = neg, neg, neg
+		}
+	}
+	// Free start anywhere within the band-reachable prefix of ref.
+	for j := 0; j <= minInt(m, band); j++ {
+		H[0][j] = 0
+	}
+	for i := 1; i <= n; i++ {
+		lo := maxInt(1, i-band)
+		hi := minInt(m, i+band)
+		if i <= band {
+			H[i][0] = -sc.GapOpen - i*sc.GapExtend
+			F[i][0] = H[i][0]
+		}
+		for j := lo; j <= hi; j++ {
+			E[i][j] = maxInt(E[i][j-1]-sc.GapExtend, H[i][j-1]-sc.GapOpen-sc.GapExtend)
+			F[i][j] = maxInt(F[i-1][j]-sc.GapExtend, H[i-1][j]-sc.GapOpen-sc.GapExtend)
+			diag := neg
+			if H[i-1][j-1] > neg/2 {
+				diag = H[i-1][j-1] + sc.sub(query[i-1], ref[j-1])
+			}
+			H[i][j] = maxInt(diag, maxInt(E[i][j], F[i][j]))
+		}
+	}
+	// Free end: best cell on the last query row.
+	bestJ, bestScore := -1, neg
+	for j := maxInt(0, n-band); j <= minInt(m, n+band); j++ {
+		if H[n][j] > bestScore {
+			bestScore, bestJ = H[n][j], j
+		}
+	}
+	if bestJ < 0 || bestScore <= neg/2 {
+		return Result{}, false
+	}
+	// Traceback to the first query row.
+	var cg Cigar
+	i, j := n, bestJ
+	for i > 0 {
+		switch {
+		case j > 0 && H[i][j] == H[i-1][j-1]+sc.sub(query[i-1], ref[j-1]) && H[i-1][j-1] > neg/2:
+			cg = appendOp(cg, OpMatch, 1)
+			i, j = i-1, j-1
+		case j > 0 && H[i][j] == E[i][j]:
+			cg = appendOp(cg, OpDelete, 1)
+			j--
+		default:
+			cg = appendOp(cg, OpInsert, 1)
+			i--
+		}
+	}
+	cg = reverseCigar(cg)
+	return Result{Score: bestScore, Cigar: cg, QueryHi: n, RefLo: j, RefHi: bestJ}, true
+}
+
+// mutate copies s with each base substituted at rate sub and an indel
+// (a base dropped or inserted, evenly) at rate indel.
+func mutate(rng *rand.Rand, s dna.Sequence, sub, indel float64) dna.Sequence {
+	out := make(dna.Sequence, 0, len(s)+len(s)/4)
+	for _, b := range s {
+		if rng.Float64() < indel {
+			if rng.Intn(2) == 0 {
+				continue
+			}
+			out = append(out, dna.Base(rng.Intn(4)))
+		}
+		if rng.Float64() < sub {
+			b = dna.Base(rng.Intn(4))
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// fitCase draws one banded-fit input: a query (mostly short, sometimes
+// read-length), a window holding a mutated copy of it between random
+// flanks, and a band of 1-30. One case in eight has a band at least as
+// wide as the window (the mate-rescue shape), and one in eight a window
+// cut shorter than the query. The scoring is BWA-MEM2's or, one case in
+// four, random small penalties that multiply the traceback ties.
+func fitCase(rng *rand.Rand) (query, window dna.Sequence, band int, sc Scoring) {
+	n := 1 + rng.Intn(40)
+	if rng.Intn(16) == 0 {
+		n = 101
+	}
+	query = randSeq(rng, n)
+	body := mutate(rng, query, 0.3*rng.Float64(), 0.3*rng.Float64())
+	window = append(append(randSeq(rng, rng.Intn(12)), body...), randSeq(rng, rng.Intn(12))...)
+	if rng.Intn(8) == 0 {
+		window = window[:rng.Intn(minInt(len(window), n)+1)]
+	}
+	band = 1 + rng.Intn(30)
+	if rng.Intn(8) == 0 {
+		band = len(window) + rng.Intn(8)
+	}
+	sc = BWAMEM2()
+	if rng.Intn(4) == 0 {
+		sc = Scoring{Match: 1 + rng.Intn(3), Mismatch: rng.Intn(7), GapOpen: rng.Intn(9), GapExtend: 1 + rng.Intn(3)}
+	}
+	return query, window, band, sc
+}
+
+// checkFit asserts that s.BandedFit equals the full-matrix oracle on one
+// input: the same ok, score, coordinates and CIGAR, op for op.
+func checkFit(t testing.TB, s *Scratch, query, window dna.Sequence, band int, sc Scoring) {
+	t.Helper()
+	want, wantOK := bandedFitFull(query, window, band, sc)
+	got, gotOK := s.BandedFit(query, window, band, sc)
+	if gotOK != wantOK || got.Score != want.Score || got.QueryLo != want.QueryLo || got.QueryHi != want.QueryHi ||
+		got.RefLo != want.RefLo || got.RefHi != want.RefHi || !slices.Equal(got.Cigar, want.Cigar) {
+		t.Fatalf("band %d scoring %+v\nquery  %s\nwindow %s\ngot  ok=%v %d %s [%d,%d)\nwant ok=%v %d %s [%d,%d)",
+			band, sc, query, window, gotOK, got.Score, got.Cigar, got.RefLo, got.RefHi,
+			wantOK, want.Score, want.Cigar, want.RefLo, want.RefHi)
+	}
+}
+
+// TestBandedFitMatchesOracle: 10^5 seeded random inputs give the band-only
+// kernel's exact Result and ok. One shared Scratch is reused across cases
+// (stale cells must never leak into a later call); every eighth case runs
+// on a fresh one, whose buffers must fit (n+1) x min(2*band+1, m+1) cells
+// per matrix.
+func TestBandedFitMatchesOracle(t *testing.T) {
+	cases := 100_000
+	if testing.Short() {
+		cases = 10_000
+	}
+	rng := rand.New(rand.NewSource(12))
+	var shared Scratch
+	for c := 0; c < cases; c++ {
+		query, window, band, sc := fitCase(rng)
+		s := &shared
+		if c%8 == 0 {
+			s = new(Scratch)
+		}
+		checkFit(t, s, query, window, band, sc)
+		if s != &shared {
+			cells := (len(query) + 1) * minInt(2*maxInt(band, 1)+1, len(window)+1)
+			if cap(s.h) > cells || cap(s.e) > cells || cap(s.f) > cells {
+				t.Fatalf("n=%d m=%d band=%d: scratch %d/%d/%d cells, bound %d",
+					len(query), len(window), band, cap(s.h), cap(s.e), cap(s.f), cells)
+			}
+		}
+	}
+}
+
+// FuzzBandedFit checks the band-only kernel against the full-matrix
+// oracle on arbitrary query/window pairs and bands, reusing one Scratch
+// across inputs.
+func FuzzBandedFit(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 0, 1}, []byte{3, 0, 1, 2, 3, 0, 1, 2}, uint8(2), false)
+	f.Add([]byte{0, 1, 2, 3}, []byte{0, 1}, uint8(1), true)
+	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1}, []byte{1, 1, 1, 0, 1, 1, 1, 1, 1}, uint8(40), false)
+	var s Scratch
+	toSeq := func(raw []byte) dna.Sequence {
+		seq := make(dna.Sequence, minInt(len(raw), 160))
+		for i := range seq {
+			seq[i] = dna.Base(raw[i] & 3)
+		}
+		return seq
+	}
+	f.Fuzz(func(t *testing.T, q, w []byte, band uint8, ties bool) {
+		sc := BWAMEM2()
+		if ties {
+			sc = Scoring{Match: 1, Mismatch: 1, GapOpen: 0, GapExtend: 1}
+		}
+		checkFit(t, &s, toSeq(q), toSeq(w), int(band), sc)
+	})
+}
+
 func TestEditDistanceBasics(t *testing.T) {
 	cases := []struct {
 		a, b string
@@ -275,8 +406,11 @@ func TestEditDistanceBasics(t *testing.T) {
 	}
 }
 
+// TestEditDistanceMatchesDP also runs every case on one shared Scratch,
+// whose bit vectors are reused across pattern lengths.
 func TestEditDistanceMatchesDP(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	var shared Scratch
 	for trial := 0; trial < 200; trial++ {
 		a := randSeq(rng, rng.Intn(150))
 		b := a.Clone()
@@ -297,8 +431,12 @@ func TestEditDistanceMatchesDP(t *testing.T) {
 				b = append(b[:p], append(dna.Sequence{dna.Base(rng.Intn(4))}, b[p:]...)...)
 			}
 		}
-		if got, want := EditDistance(a, b), EditDistanceDP(a, b); got != want {
+		want := EditDistanceDP(a, b)
+		if got := EditDistance(a, b); got != want {
 			t.Fatalf("EditDistance = %d, DP = %d\na=%s\nb=%s", got, want, a, b)
+		}
+		if got := shared.EditDistance(a, b); got != want {
+			t.Fatalf("reused Scratch: EditDistance = %d, DP = %d\na=%s\nb=%s", got, want, a, b)
 		}
 	}
 }
@@ -346,9 +484,11 @@ func TestEditDistanceSymmetric(t *testing.T) {
 func BenchmarkEditDistanceMyers101(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	x, y := randSeq(rng, 101), randSeq(rng, 101)
+	var s Scratch
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EditDistance(x, y)
+		s.EditDistance(x, y)
 	}
 }
 
@@ -359,4 +499,31 @@ func BenchmarkEditDistanceDP101(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		EditDistanceDP(x, y)
 	}
+}
+
+// benchFit times BandedFit on a read with 3% substitutions placed inside
+// a window of the given padding on each side, reusing one Scratch.
+func benchFit(b *testing.B, n, pad, band int) {
+	rng := rand.New(rand.NewSource(13))
+	query := randSeq(rng, n)
+	body := mutate(rng, query, 0.03, 0)
+	window := append(append(randSeq(rng, pad), body...), randSeq(rng, pad)...)
+	sc := BWAMEM2()
+	var s Scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := s.BandedFit(query, window, band, sc); !ok {
+			b.Fatal("fit rejected")
+		}
+	}
+}
+
+// BenchmarkBandedFit: the SeedEx extension shape (a 101 bp read against
+// its seed diagonal padded by the default 8-base band, fit band 18) and
+// the mate-rescue shape (a 101 bp mate in a ~2 kbp insert window with the
+// band spanning the whole window).
+func BenchmarkBandedFit(b *testing.B) {
+	b.Run("seedex", func(b *testing.B) { benchFit(b, 101, 8, 18) })
+	b.Run("rescue", func(b *testing.B) { benchFit(b, 101, 975, 1966) })
 }

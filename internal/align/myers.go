@@ -2,11 +2,19 @@ package align
 
 import "casa/internal/dna"
 
+// EditDistance computes the Levenshtein distance between a and b with a
+// fresh Scratch; see Scratch.EditDistance.
+func EditDistance(a, b dna.Sequence) int {
+	var s Scratch
+	return s.EditDistance(a, b)
+}
+
 // EditDistance computes the Levenshtein distance between a and b with the
 // blocked Myers bit-parallel algorithm (the computation of the SeedEx
 // "edit machines"): O(ceil(|a|/64) x |b|) word operations instead of the
-// O(|a| x |b|) cells of plain dynamic programming.
-func EditDistance(a, b dna.Sequence) int {
+// O(|a| x |b|) cells of plain dynamic programming. The per-block bit
+// vectors live in s.
+func (s *Scratch) EditDistance(a, b dna.Sequence) int {
 	if len(a) == 0 {
 		return len(b)
 	}
@@ -21,16 +29,18 @@ func EditDistance(a, b dna.Sequence) int {
 	blocks := (m + 63) / 64
 
 	// PEq[k][c]: bit i of block k set iff a[k*64+i] == c.
-	var peq [][dna.NumBases]uint64
-	peq = make([][dna.NumBases]uint64, blocks)
+	s.peq = grow(s.peq, blocks)
+	peq := s.peq
+	clear(peq)
 	for i, c := range a {
 		peq[i/64][c] |= 1 << uint(i%64)
 	}
 
-	pv := make([]uint64, blocks) // vertical positive deltas (+1)
-	mv := make([]uint64, blocks) // vertical negative deltas (-1)
+	s.pv, s.mv = grow(s.pv, blocks), grow(s.mv, blocks)
+	pv := s.pv // vertical positive deltas (+1)
+	mv := s.mv // vertical negative deltas (-1)
 	for k := range pv {
-		pv[k] = ^uint64(0)
+		pv[k], mv[k] = ^uint64(0), 0
 	}
 	score := m
 	lastBit := uint((m - 1) % 64)

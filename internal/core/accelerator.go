@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"casa/internal/dna"
 	"casa/internal/dram"
@@ -397,7 +398,12 @@ func (a *Accelerator) HitPositions(read dna.Sequence, m smem.Match, max int) []i
 		return nil
 	}
 	kmer := dna.PackKmer(read, m.Start, a.cfg.K)
-	seen := make(map[int32]struct{})
+	// A capped result is short enough to dedupe by scanning it; only an
+	// uncapped one needs a set.
+	var seen map[int32]struct{}
+	if max <= 0 {
+		seen = make(map[int32]struct{})
+	}
 	var out []int32
 	for pi, p := range a.parts {
 		base := int32(a.starts[pi])
@@ -406,10 +412,16 @@ func (a *Accelerator) HitPositions(read dna.Sequence, m smem.Match, max int) []i
 				continue
 			}
 			g := base + pos
-			if _, dup := seen[g]; dup {
-				continue
+			if seen == nil {
+				if slices.Contains(out, g) {
+					continue
+				}
+			} else {
+				if _, dup := seen[g]; dup {
+					continue
+				}
+				seen[g] = struct{}{}
 			}
-			seen[g] = struct{}{}
 			out = append(out, g)
 			if max > 0 && len(out) >= max {
 				return out

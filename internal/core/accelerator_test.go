@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"casa/internal/dna"
@@ -289,5 +290,45 @@ func TestAblationThroughputOrdering(t *testing.T) {
 	})
 	if full < naive {
 		t.Errorf("full CASA (%.0f reads/s) slower than naive (%.0f reads/s)", full, naive)
+	}
+}
+
+// TestHitPositionsCapIsPrefix: a capped HitPositions (deduplicated by
+// scanning its short result) returns exactly the first max positions of
+// the uncapped one (deduplicated by a set), and every position is a
+// distinct true occurrence. Repeats crossing partition overlaps supply
+// the duplicates.
+func TestHitPositionsCapIsPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	cfg := testConfig()
+	cfg.PartitionBases = 600
+	ref := randSeq(rng, 4000)
+	motif := ref[100:160].Clone()
+	for _, at := range []int{530, 1045, 1570, 2090, 2400, 3300} {
+		copy(ref[at:], motif)
+	}
+	a, err := NewWithOverlap(ref, cfg, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 300; trial++ {
+		read := motif
+		if trial%3 == 0 {
+			at := rng.Intn(len(ref) - 60)
+			read = ref[at : at+60]
+		}
+		start := rng.Intn(30)
+		m := smem.Match{Start: start, End: start + cfg.K + rng.Intn(20)}
+		all := a.HitPositions(read, m, 0)
+		for i, p := range all {
+			if !slices.Equal(ref[p:int(p)+m.Len()], read[m.Start:m.End+1]) || slices.Contains(all[:i], p) {
+				t.Fatalf("position %d of %v is not a distinct occurrence", p, all)
+			}
+		}
+		for max := 1; max <= len(all)+1; max++ {
+			if got := a.HitPositions(read, m, max); !slices.Equal(got, all[:min(max, len(all))]) {
+				t.Fatalf("cap %d: %v, want a prefix of %v", max, got, all)
+			}
+		}
 	}
 }

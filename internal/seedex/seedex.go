@@ -8,8 +8,9 @@
 package seedex
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"casa/internal/align"
 	"casa/internal/dna"
@@ -87,12 +88,27 @@ func (s *Stats) add(o Stats) {
 	s.EditCycles += o.EditCycles
 }
 
-// Machine is the SeedEx array bound to a reference.
+// Machine is the SeedEx array bound to a reference. A Machine keeps
+// per-call working memory and is not safe for concurrent use: concurrent
+// callers each own one and sum their Stats.
 type Machine struct {
 	cfg Config
 	ref dna.Sequence
 
 	Stats Stats
+
+	// Extension scratch, reused across ExtendRead calls.
+	kernel  align.Scratch
+	ordered []Seed      // the sorted, capped seed copy
+	cands   []candidate // one per distinct reference start
+}
+
+// candidate is one extension result, deduplicated by reference start.
+// Its CIGAR is a copy in a buffer the machine reuses.
+type candidate struct {
+	score, refStart int
+	cigar           align.Cigar
+	seed            Seed
 }
 
 // New builds the machine array over ref.
@@ -106,76 +122,94 @@ func New(ref dna.Sequence, cfg Config) (*Machine, error) {
 	return &Machine{cfg: cfg, ref: ref}, nil
 }
 
+// longestFirst orders seeds longest first, then by reference position.
+func longestFirst(a, b Seed) int {
+	if la, lb := a.QEnd-a.QStart, b.QEnd-b.QStart; la != lb {
+		return cmp.Compare(lb, la)
+	}
+	return cmp.Compare(a.RefPos, b.RefPos)
+}
+
 // ExtendRead extends every seed (up to MaxHits, longest seeds first) with
-// a banded global alignment of the whole read against the seed-implied
-// reference window, returns the best alignment, and verifies it on an
-// edit machine. ok is false when no seed produced an in-band alignment.
+// a banded fit of the whole read against the seed-implied reference
+// window, returns the best alignment, and verifies it on an edit
+// machine. ok is false when no seed produced an in-band alignment.
+// After warm-up the returned CIGAR is the call's only allocation.
 func (m *Machine) ExtendRead(read dna.Sequence, seeds []Seed) (Alignment, bool) {
 	m.Stats.Reads++
 	if len(read) == 0 || len(seeds) == 0 {
 		return Alignment{}, false
 	}
 	// Longest seeds first: they pin the most reliable diagonals.
-	ordered := append([]Seed(nil), seeds...)
-	sort.Slice(ordered, func(i, j int) bool {
-		li := ordered[i].QEnd - ordered[i].QStart
-		lj := ordered[j].QEnd - ordered[j].QStart
-		if li != lj {
-			return li > lj
-		}
-		return ordered[i].RefPos < ordered[j].RefPos
-	})
+	ordered := append(m.ordered[:0], seeds...)
+	m.ordered = ordered
+	slices.SortFunc(ordered, longestFirst)
 	if len(ordered) > m.cfg.MaxHits {
 		ordered = ordered[:m.cfg.MaxHits]
 	}
 
 	// Extend every retained seed, keep one candidate per distinct
 	// reference start (a seed chain converging on the same placement is
-	// one alignment, not competing evidence).
-	type candidate struct {
-		al Alignment
-	}
-	byStart := map[int]candidate{}
+	// one alignment, not competing evidence); the first seed with the
+	// best score at a start wins it.
+	cands := m.cands[:0]
 	for _, s := range ordered {
 		res, start, ok := m.extendOne(read, s)
 		if !ok {
 			continue
 		}
 		refStart := start + res.RefLo
-		if prev, dup := byStart[refStart]; !dup || res.Score > prev.al.Score {
-			byStart[refStart] = candidate{al: Alignment{
-				Score: res.Score, RefStart: refStart, Cigar: res.Cigar, Seed: s,
-			}}
+		k := slices.IndexFunc(cands, func(c candidate) bool { return c.refStart == refStart })
+		switch {
+		case k < 0:
+			k = len(cands)
+			if k < cap(cands) {
+				cands = cands[:k+1]
+			} else {
+				cands = append(cands, candidate{})
+			}
+		case res.Score <= cands[k].score:
+			continue
 		}
+		c := &cands[k]
+		c.score, c.refStart, c.seed = res.Score, refStart, s
+		c.cigar = append(c.cigar[:0], res.Cigar...)
 	}
-	if len(byStart) == 0 {
+	m.cands = cands
+	if len(cands) == 0 {
 		return Alignment{}, false
 	}
-	best := Alignment{Score: -1 << 30}
-	second := -1 << 30
-	for _, c := range byStart {
-		switch {
-		case c.al.Score > best.Score || (c.al.Score == best.Score && c.al.RefStart < best.RefStart):
-			if best.Score > -1<<30 {
-				second = max(second, best.Score)
-			}
-			best = c.al
-		default:
-			second = max(second, c.al.Score)
+	// The winner has the best score, ties going to the lowest reference
+	// start; SecondScore is the best score among the others.
+	win := 0
+	for k, c := range cands[1:] {
+		if w := cands[win]; c.score > w.score || (c.score == w.score && c.refStart < w.refStart) {
+			win = k + 1
 		}
 	}
-	best.SecondScore = second
+	second := -1 << 30
+	for k, c := range cands {
+		if k != win {
+			second = max(second, c.score)
+		}
+	}
+	w := cands[win]
+	best := Alignment{
+		Score: w.score, SecondScore: second, RefStart: w.refStart,
+		Cigar: slices.Clone(w.cigar), Seed: w.seed,
+	}
 	// Edit-machine verification of the winning window.
 	winStart := best.RefStart
 	winEnd := winStart + best.Cigar.RefLen()
 	m.Stats.EditRuns++
 	m.Stats.EditCycles += int64(winEnd - winStart)
-	best.EditDist = align.EditDistance(read, m.ref[winStart:winEnd])
+	best.EditDist = m.kernel.EditDistance(read, m.ref[winStart:winEnd])
 	return best, true
 }
 
 // extendOne aligns the full read against the window implied by the seed's
-// diagonal, padded by the band on both sides.
+// diagonal, padded by the band on both sides. The result's CIGAR aliases
+// the machine's kernel scratch.
 func (m *Machine) extendOne(read dna.Sequence, s Seed) (align.Result, int, bool) {
 	diag := int(s.RefPos) - s.QStart // read index 0 maps here on the diagonal
 	lo := diag - m.cfg.Band
@@ -193,7 +227,7 @@ func (m *Machine) extendOne(read dna.Sequence, s Seed) (align.Result, int, bool)
 	m.Stats.Extensions++
 	// Systolic BSW: one anti-diagonal per cycle over the banded matrix.
 	m.Stats.BSWCycles += int64(len(read) + 2*m.cfg.Band)
-	res, ok := align.BandedFit(read, window, 2*m.cfg.Band+2, m.cfg.Scoring)
+	res, ok := m.kernel.BandedFit(read, window, 2*m.cfg.Band+2, m.cfg.Scoring)
 	if !ok {
 		return align.Result{}, 0, false
 	}

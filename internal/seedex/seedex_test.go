@@ -2,6 +2,8 @@ package seedex
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"casa/internal/align"
@@ -296,5 +298,172 @@ func TestSeedAtReferenceEdge(t *testing.T) {
 	}
 	if a.RefStart != 0 {
 		t.Errorf("RefStart = %d, want 0", a.RefStart)
+	}
+}
+
+// extendReadOracle is ExtendRead as it was before the machine kept
+// scratch: a fresh seed copy ordered by sort.Slice, a map from reference
+// start to candidate, and the allocating align.BandedFit and
+// align.EditDistance. It updates m.Stats the same way.
+func extendReadOracle(m *Machine, read dna.Sequence, seeds []Seed) (Alignment, bool) {
+	m.Stats.Reads++
+	if len(read) == 0 || len(seeds) == 0 {
+		return Alignment{}, false
+	}
+	ordered := append([]Seed(nil), seeds...)
+	sort.Slice(ordered, func(i, j int) bool {
+		li := ordered[i].QEnd - ordered[i].QStart
+		lj := ordered[j].QEnd - ordered[j].QStart
+		if li != lj {
+			return li > lj
+		}
+		return ordered[i].RefPos < ordered[j].RefPos
+	})
+	if len(ordered) > m.cfg.MaxHits {
+		ordered = ordered[:m.cfg.MaxHits]
+	}
+	byStart := map[int]Alignment{}
+	for _, s := range ordered {
+		diag := int(s.RefPos) - s.QStart
+		lo, hi := max(diag-m.cfg.Band, 0), min(diag+len(read)+m.cfg.Band, len(m.ref))
+		if hi <= lo {
+			continue
+		}
+		m.Stats.Extensions++
+		m.Stats.BSWCycles += int64(len(read) + 2*m.cfg.Band)
+		res, ok := align.BandedFit(read, m.ref[lo:hi], 2*m.cfg.Band+2, m.cfg.Scoring)
+		if !ok {
+			continue
+		}
+		refStart := lo + res.RefLo
+		if prev, dup := byStart[refStart]; !dup || res.Score > prev.Score {
+			byStart[refStart] = Alignment{Score: res.Score, RefStart: refStart, Cigar: res.Cigar, Seed: s}
+		}
+	}
+	if len(byStart) == 0 {
+		return Alignment{}, false
+	}
+	best := Alignment{Score: -1 << 30}
+	second := -1 << 30
+	for _, c := range byStart {
+		switch {
+		case c.Score > best.Score || (c.Score == best.Score && c.RefStart < best.RefStart):
+			if best.Score > -1<<30 {
+				second = max(second, best.Score)
+			}
+			best = c
+		default:
+			second = max(second, c.Score)
+		}
+	}
+	best.SecondScore = second
+	winEnd := best.RefStart + best.Cigar.RefLen()
+	m.Stats.EditRuns++
+	m.Stats.EditCycles += int64(winEnd - best.RefStart)
+	best.EditDist = align.EditDistance(read, m.ref[best.RefStart:winEnd])
+	return best, true
+}
+
+// repeatRef is a random reference with copies of a few motifs, lightly
+// mutated, so reads have several competing placements.
+func repeatRef(rng *rand.Rand, n int) dna.Sequence {
+	ref := randSeq(rng, n)
+	for k := 0; k < 6; k++ {
+		motif := ref[rng.Intn(n-150):][:150]
+		for c := 0; c < 3; c++ {
+			at := rng.Intn(n - 150)
+			copy(ref[at:], motif)
+			ref[at+rng.Intn(150)] ^= 1
+		}
+	}
+	return ref
+}
+
+// TestExtendReadMatchesOracle: on random reads with random seed sets
+// (true diagonals, shifted diagonals converging on one start, repeat
+// copies, duplicates and junk positions), the scratch-reusing ExtendRead
+// returns exactly the oracle's Alignment and leaves identical Stats.
+func TestExtendReadMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	ref := repeatRef(rng, 4000)
+	got, _ := New(ref, DefaultConfig())
+	want, _ := New(ref, DefaultConfig())
+	for trial := 0; trial < 3000; trial++ {
+		n := 40 + rng.Intn(90)
+		at := rng.Intn(len(ref) - n)
+		read := ref[at : at+n].Clone()
+		for e := rng.Intn(6); e > 0; e-- {
+			read[rng.Intn(n)] = dna.Base(rng.Intn(4))
+		}
+		var seeds []Seed
+		for s := rng.Intn(14); s > 0; s-- {
+			qs := rng.Intn(n - 20)
+			qe := qs + 10 + rng.Intn(min(30, n-qs-10))
+			pos := at + qs
+			switch rng.Intn(4) {
+			case 0:
+				pos += rng.Intn(7) - 3
+			case 1:
+				pos = rng.Intn(len(ref))
+			}
+			seeds = append(seeds, Seed{QStart: qs, QEnd: qe, RefPos: int32(pos)})
+			if rng.Intn(4) == 0 {
+				seeds = append(seeds, seeds[rng.Intn(len(seeds))])
+			}
+		}
+		g, gok := got.ExtendRead(read, seeds)
+		w, wok := extendReadOracle(want, read, seeds)
+		if gok != wok || !reflect.DeepEqual(g, w) {
+			t.Fatalf("trial %d: got %+v ok=%v, want %+v ok=%v", trial, g, gok, w, wok)
+		}
+	}
+	if got.Stats != want.Stats {
+		t.Fatalf("stats %+v, want %+v", got.Stats, want.Stats)
+	}
+}
+
+// extendFixture is a 101 bp read with two substitutions and eight seeds
+// over a repeat-rich reference: every candidate of a realistic read.
+func extendFixture() (*Machine, dna.Sequence, []Seed) {
+	rng := rand.New(rand.NewSource(14))
+	ref := repeatRef(rng, 5000)
+	m, _ := New(ref, DefaultConfig())
+	const origin = 1200
+	read := ref[origin : origin+101].Clone()
+	read[30] ^= 1
+	read[75] ^= 2
+	var seeds []Seed
+	for k := 0; k < 8; k++ {
+		qs := 10 * k
+		pos := origin + qs
+		if k%3 == 2 {
+			pos = rng.Intn(len(ref) - 200)
+		}
+		seeds = append(seeds, Seed{QStart: qs, QEnd: qs + 20 + k, RefPos: int32(pos)})
+	}
+	return m, read, seeds
+}
+
+// TestExtendReadAllocs: after warm-up, extending a read allocates only
+// the returned CIGAR.
+func TestExtendReadAllocs(t *testing.T) {
+	m, read, seeds := extendFixture()
+	if _, ok := m.ExtendRead(read, seeds); !ok {
+		t.Fatal("extension failed")
+	}
+	if n := testing.AllocsPerRun(200, func() { m.ExtendRead(read, seeds) }); n > 1 {
+		t.Errorf("ExtendRead allocates %.1f times per call, want <= 1", n)
+	}
+}
+
+// BenchmarkExtendRead: one 101 bp read with eight seeds per call.
+func BenchmarkExtendRead(b *testing.B) {
+	m, read, seeds := extendFixture()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := m.ExtendRead(read, seeds); !ok {
+			b.Fatal("extension failed")
+		}
 	}
 }
