@@ -194,6 +194,7 @@ func TestHostBlockRoundTrip(t *testing.T) {
 		ReadSimSeconds:    0.05,
 		IndexBuildSeconds: map[string]float64{"casa": 0.2},
 		IndexLoadSeconds:  map[string]float64{"casa": 0.01},
+		IndexBytesPerBase: map[string]float64{"casa": 4.25},
 		SeedingSeconds:    3.3,
 	}
 	if d.Host.Build == nil || d.Host.Build.GoVersion != build.GoVersion {
@@ -210,6 +211,13 @@ func TestHostBlockRoundTrip(t *testing.T) {
 	}
 	if err := validateFile(path); err != nil {
 		t.Fatalf("document with host phases does not validate: %v", err)
+	}
+	var back doc
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if got := back.Host.Phases.IndexBytesPerBase["casa"]; got != 4.25 {
+		t.Fatalf("index_bytes_per_base round trip: %v", got)
 	}
 
 	// A baseline without any of the new host fields gates cleanly against

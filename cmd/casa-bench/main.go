@@ -87,7 +87,10 @@ type hostPhases struct {
 	// load-instead-of-rebuild path casa-smem -index and casa-serve -index
 	// take. Only persisting engines appear.
 	IndexLoadSeconds map[string]float64 `json:"index_load_seconds"`
-	SeedingSeconds   float64            `json:"seeding_seconds"` // all reps, all rows
+	// IndexBytesPerBase is each persisting engine's serialized container
+	// size per reference base (the bytes IndexLoadSeconds decodes).
+	IndexBytesPerBase map[string]float64 `json:"index_bytes_per_base,omitempty"`
+	SeedingSeconds    float64            `json:"seeding_seconds"` // all reps, all rows
 }
 
 // hostEnv records the machine a benchmark ran on. Host throughput is
@@ -204,6 +207,7 @@ func runBench(scale string, ws []int, reps int) doc {
 	phases := &hostPhases{
 		IndexBuildSeconds: map[string]float64{},
 		IndexLoadSeconds:  map[string]float64{},
+		IndexBytesPerBase: map[string]float64{},
 	}
 	refStart := time.Now()
 	ref := readsim.GenerateReference(readsim.DefaultGenome(refBases, 21))
@@ -306,7 +310,8 @@ type benchEngine struct {
 // table k-mers kept small enough for CI memory), recording each engine's
 // index-build wall time into phases. For persisting engines it also
 // times engine.LoadIndex over an in-memory casa-idx/v1 serialization —
-// the build-vs-load ratio is what justifies shipping index files at all.
+// the build-vs-load ratio is what justifies shipping index files at all —
+// and records that serialization's bytes per reference base.
 // The golden oracle is skipped — quadratic, validation only — so a newly
 // registered engine is benchmarked automatically.
 func buildEngines(ref dna.Sequence, minSMEM int, phases *hostPhases) []benchEngine {
@@ -337,6 +342,7 @@ func buildEngines(ref dna.Sequence, minSMEM int, phases *hostPhases) []benchEngi
 				log.Fatal(err)
 			}
 			phases.IndexLoadSeconds[f.Name] = time.Since(loadStart).Seconds()
+			phases.IndexBytesPerBase[f.Name] = float64(buf.Len()) / float64(len(ref))
 		}
 		out = append(out, benchEngine{f.Name, func(reads []dna.Sequence, o batch.Options) model {
 			res := batch.SeedEngine(e, reads, o)

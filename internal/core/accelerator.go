@@ -21,9 +21,9 @@ import (
 type Accelerator struct {
 	cfg     Config
 	overlap int
+	ref     dna.Sequence // the whole reference; partitions are windows of it
 	parts   []*Partition
 	starts  []int // global offset of each partition
-	refLen  int
 
 	scr accScratch
 }
@@ -53,24 +53,43 @@ func New(ref dna.Sequence, cfg Config) (*Accelerator, error) {
 
 // NewWithOverlap is New with an explicit partition overlap.
 func NewWithOverlap(ref dna.Sequence, cfg Config, overlap int) (*Accelerator, error) {
+	return partitioned(ref, cfg, overlap, func(_ int, part *dna.PackedSeq) (*Filter, error) {
+		return buildFilter(part, cfg)
+	})
+}
+
+// checkLayout validates a configuration and partition overlap.
+func checkLayout(cfg Config, overlap int) error {
 	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if overlap < 0 || overlap >= cfg.PartitionBases {
+		return fmt.Errorf("core: overlap %d out of range [0, %d)", overlap, cfg.PartitionBases)
+	}
+	return nil
+}
+
+// partitioned runs the partition-span loop that building and loading
+// share: ref is cut into windows of cfg.PartitionBases bases, adjacent
+// windows sharing overlap bases, and filter supplies window i's filter
+// from its packed image.
+func partitioned(ref dna.Sequence, cfg Config, overlap int, filter func(i int, part *dna.PackedSeq) (*Filter, error)) (*Accelerator, error) {
+	if err := checkLayout(cfg, overlap); err != nil {
 		return nil, err
 	}
 	if len(ref) == 0 {
 		return nil, fmt.Errorf("core: empty reference")
 	}
-	if overlap < 0 || overlap >= cfg.PartitionBases {
-		return nil, fmt.Errorf("core: overlap %d out of range [0, %d)", overlap, cfg.PartitionBases)
-	}
-	a := &Accelerator{cfg: cfg, overlap: overlap, refLen: len(ref)}
+	a := &Accelerator{cfg: cfg, overlap: overlap, ref: ref}
 	step := cfg.PartitionBases - overlap
 	for start := 0; ; start += step {
 		end := min(start+cfg.PartitionBases, len(ref))
-		p, err := NewPartition(ref[start:end], cfg)
+		packed := dna.Pack(ref[start:end])
+		f, err := filter(len(a.parts), packed)
 		if err != nil {
 			return nil, err
 		}
-		a.parts = append(a.parts, p)
+		a.parts = append(a.parts, &Partition{cfg: cfg, ref: ref[start:end], packed: packed, filter: f})
 		a.starts = append(a.starts, start)
 		if end == len(ref) {
 			break
@@ -86,7 +105,7 @@ func NewWithOverlap(ref dna.Sequence, cfg Config, overlap int) (*Accelerator, er
 // Activities reduce to totals bit-identical to a sequential run. Cloning
 // is O(partitions), not O(reference): no index data is copied.
 func (a *Accelerator) Clone() *Accelerator {
-	c := &Accelerator{cfg: a.cfg, overlap: a.overlap, starts: a.starts, refLen: a.refLen}
+	c := &Accelerator{cfg: a.cfg, overlap: a.overlap, ref: a.ref, starts: a.starts}
 	c.parts = make([]*Partition, len(a.parts))
 	for i, p := range a.parts {
 		c.parts[i] = p.Clone()

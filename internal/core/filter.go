@@ -61,7 +61,7 @@ type Filter struct {
 }
 
 // initDerived fills the fields derived from cfg; every construction site
-// (build, deserialize, clone) must call it.
+// (newFilter, clone) must call it.
 func (f *Filter) initDerived() {
 	f.suffixBits = uint(2 * (f.cfg.K - f.cfg.M))
 	f.suffixMask = uint64(1)<<f.suffixBits - 1
@@ -93,66 +93,104 @@ func (f *Filter) Clone() *Filter {
 // happens offline in the paper (§4.1, "CASA builds the mini index table
 // and the tag table offline for each reference partition").
 func BuildFilter(part dna.Sequence, cfg Config) (*Filter, error) {
+	return buildFilter(dna.Pack(part), cfg)
+}
+
+// buildFilter is BuildFilter over the partition's packed image. Sorting
+// is the only step loading an index skips: both paths hand the sorted
+// positions to newFilter.
+func buildFilter(part *dna.PackedSeq, cfg Config) (*Filter, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(part) > cfg.PartitionBases {
-		return nil, fmt.Errorf("core: partition of %d bases exceeds configured %d", len(part), cfg.PartitionBases)
+	if part.Len() > cfg.PartitionBases {
+		return nil, fmt.Errorf("core: partition of %d bases exceeds configured %d", part.Len(), cfg.PartitionBases)
 	}
-	posBits := bitsFor(len(part))
-	if 2*cfg.K+posBits > 64 {
-		return nil, fmt.Errorf("core: k=%d with %d-base partition does not fit the packed build key", cfg.K, len(part))
+	posBits := uint(bitsFor(part.Len()))
+	if 2*cfg.K+int(posBits) > 64 {
+		return nil, fmt.Errorf("core: k=%d with %d-base partition does not fit the packed build key", cfg.K, part.Len())
 	}
 
 	// Pack (k-mer, position) pairs and sort once: lexicographic k-mer
 	// order, then position order within a k-mer.
-	n := len(part) - cfg.K + 1
-	if n < 0 {
-		n = 0
-	}
-	keys := make([]uint64, 0, n)
-	for x := 0; x < n; x++ {
-		keys = append(keys, uint64(dna.PackKmer(part, x, cfg.K))<<uint(posBits)|uint64(x))
+	keys := make([]uint64, kmerStarts(part, cfg))
+	for x := range keys {
+		keys[x] = uint64(part.Kmer(x, cfg.K))<<posBits | uint64(x)
 	}
 	slices.Sort(keys)
+	positions := make([]int32, len(keys))
+	posMask := uint64(1)<<posBits - 1
+	for i, key := range keys {
+		positions[i] = int32(key & posMask)
+	}
+	return newFilter(cfg, positions, part)
+}
+
+// kmerStarts is the number of k-mers in the partition.
+func kmerStarts(part *dna.PackedSeq, cfg Config) int {
+	return max(part.Len()-cfg.K+1, 0)
+}
+
+// newFilter derives a partition's filter from its k-mer occurrence
+// positions in (k-mer, position) order. The tags, search indicators,
+// position ranges and mini index are all counted from that one order, so
+// this is the single constructor behind both BuildFilter and LoadIndex.
+// The positions are checked as untrusted input: they must be strictly
+// increasing in (k-mer, position) order and number one per k-mer start,
+// which makes them a permutation of the starts and the only order the
+// sort yields. The k-mers are read from the packed partition (1 MB at
+// 4 Mbases), so the random reads the sorted order makes stay in cache.
+func newFilter(cfg Config, positions []int32, part *dna.PackedSeq) (*Filter, error) {
+	n := kmerStarts(part, cfg)
+	if len(positions) != n {
+		return nil, fmt.Errorf("%d positions for %d k-mer starts", len(positions), n)
+	}
+	distinct := 0
+	var prev dna.Kmer
+	for i, x := range positions {
+		if x < 0 || int(x) >= n {
+			return nil, fmt.Errorf("position %d (entry %d) out of range [0, %d)", x, i, n)
+		}
+		kmer := part.Kmer(int(x), cfg.K)
+		switch {
+		case i == 0 || kmer > prev:
+			distinct++
+		case kmer < prev || x <= positions[i-1]:
+			return nil, fmt.Errorf("position %d (entry %d) breaks (k-mer, position) order after %d", x, i, positions[i-1])
+		}
+		prev = kmer
+	}
 
 	f := &Filter{
-		cfg:  cfg,
-		mini: make([]tagRange, dna.NumKmers(cfg.M)),
+		cfg:       cfg,
+		mini:      make([]tagRange, dna.NumKmers(cfg.M)),
+		tags:      make([]uint64, 0, distinct),
+		data:      make([]SearchIndicator, 0, distinct),
+		posIndex:  make([]int32, 0, distinct+1),
+		positions: positions,
 	}
 	f.initDerived()
-	posMask := uint64(1)<<uint(posBits) - 1
-	suffixBits := f.suffixBits
-	suffixMask := f.suffixMask
-
-	var prefixes []uint64 // m-mer prefix of each distinct k-mer, in order
-	var prevKmer uint64
-	havePrev := false
-	for _, key := range keys {
-		kmer := key >> uint(posBits)
-		x := int(key & posMask)
-		if !havePrev || kmer != prevKmer {
-			f.tags = append(f.tags, kmer&suffixMask)
+	for i, x := range positions {
+		kmer := part.Kmer(int(x), cfg.K)
+		if i == 0 || kmer != prev {
+			f.tags = append(f.tags, uint64(kmer)&f.suffixMask)
 			f.data = append(f.data, SearchIndicator{})
-			f.posIndex = append(f.posIndex, int32(len(f.positions)))
-			prefixes = append(prefixes, kmer>>uint(suffixBits))
-			prevKmer, havePrev = kmer, true
+			f.posIndex = append(f.posIndex, int32(i))
+			f.mini[uint64(kmer)>>f.suffixBits].end++ // a count until the ranges below
+			prev = kmer
 		}
 		last := len(f.data) - 1
-		f.data[last] = f.data[last].addOccurrence(x, cfg.Stride, cfg.Groups)
-		f.positions = append(f.positions, int32(x))
+		f.data[last] = f.data[last].addOccurrence(int(x), cfg.Stride, cfg.Groups)
 	}
-	f.posIndex = append(f.posIndex, int32(len(f.positions)))
+	f.posIndex = append(f.posIndex, int32(n))
 
-	// Mini index ranges: one pass over the distinct k-mers' prefixes
-	// (already in ascending order because the keys were sorted).
-	idx := 0
+	// Mini index ranges: the tags are grouped by m-mer prefix in ascending
+	// order, so each prefix's range starts where the previous one ends.
+	var end int32
 	for p := range f.mini {
-		start := idx
-		for idx < len(prefixes) && prefixes[idx] == uint64(p) {
-			idx++
-		}
-		f.mini[p] = tagRange{start: int32(start), end: int32(idx)}
+		f.mini[p].start = end
+		end += f.mini[p].end
+		f.mini[p].end = end
 	}
 	return f, nil
 }

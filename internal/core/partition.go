@@ -89,11 +89,12 @@ func growN[T any](s []T, n int) []T {
 
 // NewPartition builds the filter and CAM image for one partition.
 func NewPartition(ref dna.Sequence, cfg Config) (*Partition, error) {
-	f, err := BuildFilter(ref, cfg)
+	packed := dna.Pack(ref)
+	f, err := buildFilter(packed, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Partition{cfg: cfg, ref: ref, packed: dna.Pack(ref), filter: f}, nil
+	return &Partition{cfg: cfg, ref: ref, packed: packed, filter: f}, nil
 }
 
 // Clone returns a partition sharing this one's immutable state (the

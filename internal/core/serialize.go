@@ -1,290 +1,142 @@
 package core
 
 import (
-	"bufio"
-	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"casa/internal/dna"
+	"casa/internal/idxio"
 )
 
-// Index serialization: the paper builds the pre-seeding filter tables
-// offline for each reference partition (§4.1); WriteIndex/ReadIndex
-// persist a fully built Accelerator (partitioned reference + filters) so
-// the expensive construction happens once (cmd/casa-index) and later runs
-// load it directly.
+// Index persistence: the paper builds the pre-seeding filter tables
+// offline for each reference partition (§4.1), so the construction
+// happens once (cmd/casa-index) and later runs load it. The index stores
+// what BuildFilter sorted and derives what it counted, in three
+// casa-idx/v1 sections:
+//
+//	casa/config     Config plus the partition overlap, one JSON object
+//	casa/ref        the flattened reference, 2-bit packed (idxio.WriteBases)
+//	casa/positions  each partition's k-mer occurrence positions in
+//	                (k-mer, position) order, concatenated (idxio.WriteInt32s)
+//
+// LoadIndex reruns NewWithOverlap's partition-span loop and hands each
+// partition's positions to newFilter, the constructor BuildFilter calls
+// after its sort, so build and load differ only by the sort and no
+// second decoder has to track the filter layout. Checksums and lengths
+// are the container's job; this layer validates structure.
+const (
+	configSection    = "casa/config"
+	refSection       = "casa/ref"
+	positionsSection = "casa/positions"
+)
 
-// indexMagic identifies the file format; the trailing digit is the
-// version.
-const indexMagic = "CASAIDX1"
-
-// WriteIndex serializes the accelerator's configuration, partitioning and
-// per-partition filter tables.
-func (a *Accelerator) WriteIndex(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.WriteString(indexMagic); err != nil {
-		return err
-	}
-	writeConfig(bw, a.cfg)
-	writeU64(bw, uint64(a.overlap))
-	writeU64(bw, uint64(a.refLen))
-	writeU64(bw, uint64(len(a.parts)))
-	for pi, p := range a.parts {
-		writeU64(bw, uint64(a.starts[pi]))
-		if err := writePartition(bw, p); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+// savedConfig is the casa/config payload.
+type savedConfig struct {
+	Config
+	Overlap int
 }
 
-// ReadIndex reconstructs an accelerator from WriteIndex output.
-func ReadIndex(r io.Reader) (*Accelerator, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	magic := make([]byte, len(indexMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("core: reading index header: %w", err)
+// maxConfigBytes bounds the casa/config payload a loader will parse.
+const maxConfigBytes = 1 << 16
+
+// SaveIndex writes the accelerator's three sections to w.
+func (a *Accelerator) SaveIndex(w *idxio.Writer) error {
+	if err := w.Section(configSection, func(sw io.Writer) error {
+		return json.NewEncoder(sw).Encode(savedConfig{a.cfg, a.overlap})
+	}); err != nil {
+		return err
 	}
-	if string(magic) != indexMagic {
-		return nil, fmt.Errorf("core: not a CASA index (magic %q)", magic)
+	if err := w.Section(refSection, func(sw io.Writer) error {
+		return idxio.WriteBases(sw, a.ref)
+	}); err != nil {
+		return err
 	}
-	cfg, err := readConfig(br)
-	if err != nil {
-		return nil, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("core: index holds invalid config: %w", err)
-	}
-	overlap, err := readU64(br)
-	if err != nil {
-		return nil, err
-	}
-	refLen, err := readU64(br)
-	if err != nil {
-		return nil, err
-	}
-	nParts, err := readU64(br)
-	if err != nil {
-		return nil, err
-	}
-	if nParts == 0 || nParts > 1<<20 {
-		return nil, fmt.Errorf("core: implausible partition count %d", nParts)
-	}
-	a := &Accelerator{cfg: cfg, overlap: int(overlap), refLen: int(refLen)}
-	for i := uint64(0); i < nParts; i++ {
-		start, err := readU64(br)
-		if err != nil {
-			return nil, err
+	return w.Section(positionsSection, func(sw io.Writer) error {
+		for _, p := range a.parts {
+			if err := idxio.WriteInt32s(sw, p.filter.positions); err != nil {
+				return err
+			}
 		}
-		p, err := readPartition(br, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: partition %d: %w", i, err)
+		return nil
+	})
+}
+
+// LoadIndex reads SaveIndex's sections back into an accelerator equal to
+// the one that wrote them. Every structural error names its section.
+func LoadIndex(r *idxio.Reader) (*Accelerator, error) {
+	sec, err := r.Section(configSection)
+	if err != nil {
+		return nil, err
+	}
+	var sc savedConfig
+	dec := json.NewDecoder(io.LimitReader(sec, maxConfigBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sc); err != nil {
+		return nil, sectionError(configSection, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, sectionError(configSection, fmt.Errorf("data after the config object"))
+	}
+	if err := checkLayout(sc.Config, sc.Overlap); err != nil {
+		return nil, sectionError(configSection, err)
+	}
+	if err := expectEnd(sec); err != nil {
+		return nil, sectionError(configSection, err)
+	}
+
+	if sec, err = r.Section(refSection); err != nil {
+		return nil, err
+	}
+	// Hit positions are int32 offsets into the whole reference.
+	ref, err := idxio.ReadBases(sec, math.MaxInt32)
+	if err == nil && len(ref) == 0 {
+		err = fmt.Errorf("empty reference")
+	}
+	if err == nil {
+		err = expectEnd(sec)
+	}
+	if err != nil {
+		return nil, sectionError(refSection, err)
+	}
+
+	if sec, err = r.Section(positionsSection); err != nil {
+		return nil, err
+	}
+	a, err := partitioned(ref, sc.Config, sc.Overlap, func(i int, part *dna.PackedSeq) (*Filter, error) {
+		positions, err := idxio.ReadInt32s(sec, kmerStarts(part, sc.Config))
+		var f *Filter
+		if err == nil {
+			f, err = newFilter(sc.Config, positions, part)
 		}
-		a.starts = append(a.starts, int(start))
-		a.parts = append(a.parts, p)
+		if err != nil {
+			return nil, fmt.Errorf("partition %d: %w", i, err)
+		}
+		return f, nil
+	})
+	if err == nil {
+		err = expectEnd(sec)
+	}
+	if err != nil {
+		return nil, sectionError(positionsSection, err)
 	}
 	return a, nil
 }
 
-// writePartition emits the packed reference and the filter arrays.
-func writePartition(w *bufio.Writer, p *Partition) error {
-	writeU64(w, uint64(len(p.ref)))
-	// 2-bit packed reference.
-	var cur byte
-	for i, b := range p.ref {
-		cur |= byte(b) << uint(2*(i%4))
-		if i%4 == 3 {
-			if err := w.WriteByte(cur); err != nil {
-				return err
-			}
-			cur = 0
-		}
+// expectEnd reports bytes left in a section its decoder has finished.
+func expectEnd(sec io.Reader) error {
+	var b [1]byte
+	n, err := sec.Read(b[:])
+	if n > 0 {
+		return fmt.Errorf("payload longer than its contents")
 	}
-	if len(p.ref)%4 != 0 {
-		if err := w.WriteByte(cur); err != nil {
-			return err
-		}
-	}
-	f := p.filter
-	// Mini index: store only the bucket end offsets (starts are the
-	// previous end), one varint-free u32 per 4^M entries.
-	writeU64(w, uint64(len(f.mini)))
-	for _, r := range f.mini {
-		writeU32(w, uint32(r.end))
-	}
-	writeU64(w, uint64(len(f.tags)))
-	for _, t := range f.tags {
-		writeU64(w, t)
-	}
-	for _, d := range f.data {
-		writeU64(w, d.StartMask)
-		writeU64(w, d.GroupMask)
-	}
-	writeU64(w, uint64(len(f.positions)))
-	for _, pi := range f.posIndex {
-		writeU32(w, uint32(pi))
-	}
-	for _, pos := range f.positions {
-		writeU32(w, uint32(pos))
+	if err != io.EOF {
+		return err
 	}
 	return nil
 }
 
-// readPartition reconstructs one partition.
-func readPartition(r *bufio.Reader, cfg Config) (*Partition, error) {
-	refLen, err := readU64(r)
-	if err != nil {
-		return nil, err
-	}
-	if refLen > uint64(cfg.PartitionBases) {
-		return nil, fmt.Errorf("partition of %d bases exceeds config %d", refLen, cfg.PartitionBases)
-	}
-	ref := make(dna.Sequence, refLen)
-	packed := make([]byte, (refLen+3)/4)
-	if _, err := io.ReadFull(r, packed); err != nil {
-		return nil, err
-	}
-	for i := range ref {
-		ref[i] = dna.Base(packed[i/4] >> uint(2*(i%4)) & 3)
-	}
-
-	nMini, err := readU64(r)
-	if err != nil {
-		return nil, err
-	}
-	if nMini != uint64(dna.NumKmers(cfg.M)) {
-		return nil, fmt.Errorf("mini index size %d does not match m=%d", nMini, cfg.M)
-	}
-	f := &Filter{cfg: cfg, mini: make([]tagRange, nMini)}
-	f.initDerived()
-	prev := int32(0)
-	for i := range f.mini {
-		end, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		f.mini[i] = tagRange{start: prev, end: int32(end)}
-		prev = int32(end)
-	}
-	nTags, err := readU64(r)
-	if err != nil {
-		return nil, err
-	}
-	if nTags > refLen {
-		return nil, fmt.Errorf("tag count %d exceeds partition size", nTags)
-	}
-	f.tags = make([]uint64, nTags)
-	for i := range f.tags {
-		if f.tags[i], err = readU64(r); err != nil {
-			return nil, err
-		}
-	}
-	f.data = make([]SearchIndicator, nTags)
-	for i := range f.data {
-		if f.data[i].StartMask, err = readU64(r); err != nil {
-			return nil, err
-		}
-		if f.data[i].GroupMask, err = readU64(r); err != nil {
-			return nil, err
-		}
-	}
-	nPos, err := readU64(r)
-	if err != nil {
-		return nil, err
-	}
-	if nPos > refLen {
-		return nil, fmt.Errorf("position count %d exceeds partition size", nPos)
-	}
-	f.posIndex = make([]int32, nTags+1)
-	for i := range f.posIndex {
-		v, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		f.posIndex[i] = int32(v)
-	}
-	f.positions = make([]int32, nPos)
-	for i := range f.positions {
-		v, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		f.positions[i] = int32(v)
-	}
-	return &Partition{cfg: cfg, ref: ref, packed: dna.Pack(ref), filter: f}, nil
-}
-
-// writeConfig/readConfig serialize the numeric and boolean fields in a
-// fixed order.
-func writeConfig(w *bufio.Writer, c Config) {
-	for _, v := range []uint64{
-		uint64(c.K), uint64(c.M), uint64(c.MinSMEM), uint64(c.Stride),
-		uint64(c.Groups), uint64(c.ComputeCAMs), uint64(c.PartitionBases),
-		uint64(c.FilterBanks), uint64(c.FIFODepth),
-	} {
-		writeU64(w, v)
-	}
-	writeU64(w, uint64(c.ClockHz))
-	flags := uint64(0)
-	for i, b := range []bool{c.UseFilterTable, c.UseAnalysis, c.ExactMatchPrepass, c.GroupGating, c.EntryGating} {
-		if b {
-			flags |= 1 << uint(i)
-		}
-	}
-	writeU64(w, flags)
-}
-
-func readConfig(r *bufio.Reader) (Config, error) {
-	var vals [10]uint64
-	for i := range vals {
-		v, err := readU64(r)
-		if err != nil {
-			return Config{}, err
-		}
-		vals[i] = v
-	}
-	flags, err := readU64(r)
-	if err != nil {
-		return Config{}, err
-	}
-	c := Config{
-		K: int(vals[0]), M: int(vals[1]), MinSMEM: int(vals[2]), Stride: int(vals[3]),
-		Groups: int(vals[4]), ComputeCAMs: int(vals[5]), PartitionBases: int(vals[6]),
-		FilterBanks: int(vals[7]), FIFODepth: int(vals[8]), ClockHz: float64(vals[9]),
-	}
-	c.UseFilterTable = flags&1 != 0
-	c.UseAnalysis = flags&2 != 0
-	c.ExactMatchPrepass = flags&4 != 0
-	c.GroupGating = flags&8 != 0
-	c.EntryGating = flags&16 != 0
-	return c, nil
-}
-
-func writeU64(w *bufio.Writer, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	w.Write(buf[:])
-}
-
-func writeU32(w *bufio.Writer, v uint32) {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	w.Write(buf[:])
-}
-
-func readU64(r *bufio.Reader) (uint64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(buf[:]), nil
-}
-
-func readU32(r *bufio.Reader) (uint32, error) {
-	var buf [4]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(buf[:]), nil
+func sectionError(name string, err error) error {
+	return fmt.Errorf("core: section %q: %w", name, err)
 }

@@ -2,13 +2,57 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"casa/internal/dna"
+	"casa/internal/idxio"
 	"casa/internal/smem"
 )
+
+// saveContainer serializes a into a complete casa-idx container.
+func saveContainer(t *testing.T, a *Accelerator) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := idxio.NewWriter(&buf, idxio.Header{Engine: "casa"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SaveIndex(w); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// loadContainer reads a container written by saveContainer (or forged
+// through idxio.Writer), requiring the end marker after the sections.
+func loadContainer(data []byte) (*Accelerator, error) {
+	r, _, err := idxio.NewReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	a, err := LoadIndex(r)
+	if err != nil {
+		return nil, err
+	}
+	return a, r.Close()
+}
+
+func roundTrip(t *testing.T, a *Accelerator) *Accelerator {
+	t.Helper()
+	loaded, err := loadContainer(saveContainer(t, a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loaded
+}
 
 func TestIndexRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -19,20 +63,16 @@ func TestIndexRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := orig.WriteIndex(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := roundTrip(t, orig)
 
-	if loaded.Partitions() != orig.Partitions() {
-		t.Fatalf("partitions = %d, want %d", loaded.Partitions(), orig.Partitions())
+	if loaded.Partitions() != orig.Partitions() || orig.Partitions() < 3 {
+		t.Fatalf("partitions = %d, want %d (>= 3)", loaded.Partitions(), orig.Partitions())
 	}
-	if loaded.Config() != orig.Config() {
-		t.Fatalf("config mismatch:\n%+v\n%+v", loaded.Config(), orig.Config())
+	if loaded.Config() != orig.Config() || loaded.overlap != 50 {
+		t.Fatalf("config mismatch:\n%+v overlap %d\n%+v", loaded.Config(), loaded.overlap, orig.Config())
+	}
+	if !slices.Equal(loaded.starts, orig.starts) {
+		t.Fatalf("partition starts %v, want %v", loaded.starts, orig.starts)
 	}
 	for i := 0; i < orig.Partitions(); i++ {
 		if !loaded.Partition(i).Ref().Equal(orig.Partition(i).Ref()) {
@@ -67,14 +107,7 @@ func TestIndexRoundTripDefaultGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := orig.WriteIndex(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := roundTrip(t, orig)
 	read := plantedRead(rng, ref, 101, 2)
 	a := orig.SeedReads([]dna.Sequence{read})
 	b := loaded.SeedReads([]dna.Sequence{read})
@@ -83,35 +116,257 @@ func TestIndexRoundTripDefaultGeometry(t *testing.T) {
 	}
 }
 
-func TestReadIndexRejectsGarbage(t *testing.T) {
-	if _, err := ReadIndex(strings.NewReader("not an index at all")); err == nil {
-		t.Error("garbage accepted")
+// buildFilterOracle is the filter construction as it stood before build
+// and load shared newFilter: one sort of packed (k-mer, position) keys,
+// then every array appended in a single pass over them.
+func buildFilterOracle(part dna.Sequence, cfg Config) *Filter {
+	posBits := bitsFor(len(part))
+	var keys []uint64
+	for x := 0; x+cfg.K <= len(part); x++ {
+		keys = append(keys, uint64(dna.PackKmer(part, x, cfg.K))<<uint(posBits)|uint64(x))
 	}
-	if _, err := ReadIndex(strings.NewReader("")); err == nil {
-		t.Error("empty input accepted")
+	slices.Sort(keys)
+	f := &Filter{cfg: cfg, mini: make([]tagRange, dna.NumKmers(cfg.M))}
+	f.initDerived()
+	var prefixes []uint64
+	for i, key := range keys {
+		kmer, x := key>>uint(posBits), int(key&(1<<uint(posBits)-1))
+		if i == 0 || kmer != keys[i-1]>>uint(posBits) {
+			f.tags = append(f.tags, kmer&f.suffixMask)
+			f.data = append(f.data, SearchIndicator{})
+			f.posIndex = append(f.posIndex, int32(len(f.positions)))
+			prefixes = append(prefixes, kmer>>f.suffixBits)
+		}
+		last := len(f.data) - 1
+		f.data[last] = f.data[last].addOccurrence(x, cfg.Stride, cfg.Groups)
+		f.positions = append(f.positions, int32(x))
 	}
-	// Right magic, truncated body.
-	if _, err := ReadIndex(strings.NewReader(indexMagic)); err == nil {
-		t.Error("truncated index accepted")
+	f.posIndex = append(f.posIndex, int32(len(f.positions)))
+	idx := 0
+	for p := range f.mini {
+		start := idx
+		for idx < len(prefixes) && prefixes[idx] == uint64(p) {
+			idx++
+		}
+		f.mini[p] = tagRange{start: int32(start), end: int32(idx)}
+	}
+	return f
+}
+
+func sameFilter(t *testing.T, what string, got, want *Filter) {
+	t.Helper()
+	switch {
+	case !slices.Equal(got.tags, want.tags):
+		t.Fatalf("%s: tags differ", what)
+	case !slices.Equal(got.data, want.data):
+		t.Fatalf("%s: search indicators differ", what)
+	case !slices.Equal(got.posIndex, want.posIndex):
+		t.Fatalf("%s: posIndex differs", what)
+	case !slices.Equal(got.positions, want.positions):
+		t.Fatalf("%s: positions differ", what)
+	case !slices.Equal(got.mini, want.mini):
+		t.Fatalf("%s: mini index differs", what)
 	}
 }
 
-func TestReadIndexRejectsCorruptHeader(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	cfg := testConfig()
-	orig, err := New(randSeq(rng, 500), cfg)
+// TestDerivedFilterMatchesBuild is the derivation oracle: over random
+// geometries and references (repeat-rich ones included, so k-mers recur
+// within and across partitions), both BuildFilter's filters and the ones
+// LoadIndex derives from the stored positions equal the oracle's.
+func TestDerivedFilterMatchesBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	cases := 60
+	if testing.Short() {
+		cases = 15
+	}
+	for c := 0; c < cases; c++ {
+		cfg := testConfig()
+		cfg.K = 2 + rng.Intn(12)
+		cfg.M = 1 + rng.Intn(min(cfg.K-1, 6))
+		cfg.MinSMEM = cfg.K
+		cfg.Stride = 1 + rng.Intn(64)
+		cfg.Groups = 1 + rng.Intn(64)
+		cfg.PartitionBases = max(cfg.Stride, 50+rng.Intn(1500))
+		overlap := rng.Intn(cfg.PartitionBases)
+		ref := randSeq(rng, 1+rng.Intn(4000))
+		if rng.Intn(2) == 0 {
+			// Tile a short motif so most k-mers repeat.
+			motif := randSeq(rng, 1+rng.Intn(30))
+			for i := range ref {
+				if rng.Intn(20) != 0 {
+					ref[i] = motif[i%len(motif)]
+				}
+			}
+		}
+		built, err := NewWithOverlap(ref, cfg, overlap)
+		if err != nil {
+			t.Fatalf("case %d: %v", c, err)
+		}
+		loaded := roundTrip(t, built)
+		if built.Partitions() != loaded.Partitions() {
+			t.Fatalf("case %d: %d partitions loaded, %d built", c, loaded.Partitions(), built.Partitions())
+		}
+		for i, p := range built.parts {
+			want := buildFilterOracle(p.ref, cfg)
+			sameFilter(t, "build", p.filter, want)
+			sameFilter(t, "load", loaded.parts[i].filter, want)
+		}
+	}
+}
+
+// forge writes a container whose casa sections carry the given payloads
+// verbatim: the CRCs are valid, so only structural checks can object.
+func forge(t *testing.T, config, ref, positions []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := idxio.NewWriter(&buf, idxio.Header{Engine: "casa"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := orig.WriteIndex(&buf); err != nil {
+	for _, s := range []struct {
+		name    string
+		payload []byte
+	}{{configSection, config}, {refSection, ref}, {positionsSection, positions}} {
+		if err := w.Section(s.name, func(sw io.Writer) error {
+			_, err := sw.Write(s.payload)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	// Corrupt the K field (first config word after the magic): K=0 must be
-	// rejected by config validation.
-	copy(data[len(indexMagic):len(indexMagic)+8], make([]byte, 8))
-	if _, err := ReadIndex(bytes.NewReader(data)); err == nil {
-		t.Error("corrupt config accepted")
+	return buf.Bytes()
+}
+
+// TestLoadIndexRejectsInconsistent forges CRC-valid sections that
+// disagree with each other or with the filter invariants; each must fail
+// with an error naming the offending section instead of loading.
+func TestLoadIndexRejectsInconsistent(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	cfg := testConfig()
+	cfg.PartitionBases = 300
+	const overlap = 40
+	ref := randSeq(rng, 700)
+	copy(ref[100:120], ref[:20])
+	a, err := NewWithOverlap(ref, cfg, overlap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refBuf bytes.Buffer
+	if err := idxio.WriteBases(&refBuf, a.ref); err != nil {
+		t.Fatal(err)
+	}
+	var positions []int32
+	for _, p := range a.parts {
+		positions = append(positions, p.filter.positions...)
+	}
+	n0 := len(a.parts[0].filter.positions) // partition 0's k-mer count
+	configJSON := func(c Config, overlap int) []byte {
+		b, err := json.Marshal(savedConfig{c, overlap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	encode := func(p []int32) []byte {
+		var b bytes.Buffer
+		if err := idxio.WriteInt32s(&b, p); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	edit := func(fn func(p []int32) []int32) []byte {
+		return encode(fn(slices.Clone(positions)))
+	}
+	// The first pair of entries holding one k-mer (the reference repeats
+	// its first 20 bases): swapping them keeps the k-mers sorted but
+	// breaks position order.
+	kmerAt := func(x int32) dna.Kmer { return dna.PackKmer(a.parts[0].ref, int(x), cfg.K) }
+	dup := 0
+	for i := 1; i < n0; i++ {
+		if kmerAt(positions[i]) == kmerAt(positions[i-1]) {
+			dup = i
+			break
+		}
+	}
+	if dup < 1 {
+		t.Fatal("partition 0 has no repeated k-mer")
+	}
+
+	badCfg := cfg
+	badCfg.M = cfg.K
+	for _, tc := range []struct {
+		name                  string
+		config, ref, position []byte
+		section, want         string
+	}{
+		{"valid", configJSON(cfg, overlap), refBuf.Bytes(), encode(positions), "", ""},
+		{"position past the k-mer count",
+			configJSON(cfg, overlap), refBuf.Bytes(),
+			edit(func(p []int32) []int32 { p[0] = int32(n0); return p }),
+			positionsSection, "out of range"},
+		{"negative position",
+			configJSON(cfg, overlap), refBuf.Bytes(),
+			edit(func(p []int32) []int32 { p[3] = -1; return p }),
+			positionsSection, "out of range"},
+		{"duplicated position",
+			configJSON(cfg, overlap), refBuf.Bytes(),
+			edit(func(p []int32) []int32 { p[dup] = p[dup-1]; return p }),
+			positionsSection, "order"},
+		{"positions out of k-mer order",
+			configJSON(cfg, overlap), refBuf.Bytes(),
+			edit(func(p []int32) []int32 { p[0], p[n0-1] = p[n0-1], p[0]; return p }),
+			positionsSection, "order"},
+		{"positions out of position order within a k-mer",
+			configJSON(cfg, overlap), refBuf.Bytes(),
+			edit(func(p []int32) []int32 { p[dup], p[dup-1] = p[dup-1], p[dup]; return p }),
+			positionsSection, "order"},
+		{"positions payload short",
+			configJSON(cfg, overlap), refBuf.Bytes(),
+			edit(func(p []int32) []int32 { return p[:len(p)-1] }),
+			positionsSection, "EOF"},
+		{"positions payload long",
+			configJSON(cfg, overlap), refBuf.Bytes(),
+			edit(func(p []int32) []int32 { return append(p, 0) }),
+			positionsSection, "longer"},
+		{"config fails Validate",
+			configJSON(badCfg, overlap), refBuf.Bytes(), encode(positions),
+			configSection, "m="},
+		{"negative overlap",
+			configJSON(cfg, -1), refBuf.Bytes(), encode(positions),
+			configSection, "overlap"},
+		{"overlap of a whole partition",
+			configJSON(cfg, cfg.PartitionBases), refBuf.Bytes(), encode(positions),
+			configSection, "overlap"},
+		{"unknown config field",
+			[]byte(`{"K":7,"Warp":1}`), refBuf.Bytes(), encode(positions),
+			configSection, "Warp"},
+		{"data after the config",
+			append(configJSON(cfg, overlap), "{}"...), refBuf.Bytes(), encode(positions),
+			configSection, "after"},
+		{"empty reference",
+			configJSON(cfg, overlap), make([]byte, 8), nil,
+			refSection, "empty"},
+		{"reference payload long",
+			configJSON(cfg, overlap), append(slices.Clone(refBuf.Bytes()), 0), encode(positions),
+			refSection, "longer"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := loadContainer(forge(t, tc.config, tc.ref, tc.position))
+			if tc.section == "" {
+				if err != nil {
+					t.Fatalf("valid forge rejected: %v", err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatal("inconsistent index accepted")
+			}
+			if !strings.Contains(err.Error(), `"`+tc.section+`"`) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q should name section %q and mention %q", err, tc.section, tc.want)
+			}
+		})
 	}
 }

@@ -12,6 +12,7 @@ package dna
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -231,14 +232,21 @@ func (p *PackedSeq) Slice(i, j int) Sequence {
 }
 
 // Kmer packs k bases starting at i; behaves like PackKmer on the unpacked
-// sequence.
+// sequence. It loads at most two words, so random k-mer reads cost a
+// cache line of the packed image, not k base reads.
 func (p *PackedSeq) Kmer(i, k int) Kmer {
 	if k > MaxK {
 		panic(fmt.Sprintf("dna: k=%d exceeds MaxK=%d", k, MaxK))
 	}
-	var v Kmer
-	for x := i; x < i+k; x++ {
-		v = v<<2 | Kmer(p.Base(x))
+	w, s := i/32, 2*uint(i%32)
+	v := p.words[w] >> s
+	if s+2*uint(k) > 64 {
+		v |= p.words[w+1] << (64 - s)
 	}
-	return v
+	// v holds base i in its low two bits; PackKmer puts the first base
+	// most significant. Reverse the bits, restore each base's bit order,
+	// and keep the top k bases.
+	v = bits.Reverse64(v)
+	v = v>>1&0x5555555555555555 | v&0x5555555555555555<<1
+	return Kmer(v >> (64 - 2*uint(k)))
 }

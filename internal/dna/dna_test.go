@@ -206,8 +206,8 @@ func TestPackedSeqKmerMatchesUnpacked(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	s := randomSeq(rng, 200)
 	p := Pack(s)
-	for _, k := range []int{1, 9, 10, 19} {
-		for i := 0; i+k <= len(s); i += 13 {
+	for _, k := range []int{1, 9, 10, 19, 31} {
+		for i := 0; i+k <= len(s); i++ {
 			if got, want := p.Kmer(i, k), PackKmer(s, i, k); got != want {
 				t.Fatalf("Kmer(%d,%d) = %d, want %d", i, k, got, want)
 			}

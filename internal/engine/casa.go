@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"io"
 
 	"casa/internal/core"
 	"casa/internal/dna"
@@ -71,22 +70,13 @@ func (e *casaEngine) HitPositions(strand dna.Sequence, m smem.Match, maxHits int
 
 func (e *casaEngine) Unwrap() any { return e.a }
 
-// SaveIndex implements IndexPersister with a single section holding the
-// core package's native serialization (configuration, partitioning and
-// per-partition filter tables).
-func (e *casaEngine) SaveIndex(w *idxio.Writer) error {
-	return w.Section("casa/accelerator", func(sw io.Writer) error {
-		return e.a.WriteIndex(sw)
-	})
-}
+// SaveIndex implements IndexPersister with the core package's three
+// sections: configuration, packed reference and sorted k-mer positions.
+func (e *casaEngine) SaveIndex(w *idxio.Writer) error { return e.a.SaveIndex(w) }
 
 // LoadIndex implements IndexPersister on a NewEmpty instance.
 func (e *casaEngine) LoadIndex(r *idxio.Reader) error {
-	sec, err := r.Section("casa/accelerator")
-	if err != nil {
-		return err
-	}
-	a, err := core.ReadIndex(sec)
+	a, err := core.LoadIndex(r)
 	if err != nil {
 		return err
 	}
@@ -135,7 +125,7 @@ func casaFactory() Factory {
 			return &casaEngine{a}, nil
 		},
 		NewEmpty: func(Options) (Engine, error) {
-			// The serialized accelerator carries its full configuration;
+			// The casa/config section carries the full configuration;
 			// the header options are informational for casa.
 			return &casaEngine{}, nil
 		},

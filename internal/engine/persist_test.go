@@ -2,6 +2,9 @@ package engine_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -135,5 +138,71 @@ func TestLoadIndexRejectsTruncation(t *testing.T) {
 				t.Errorf("%s: truncation at %d accepted", name, cut)
 			}
 		}
+	}
+}
+
+// pinnedRef is a fixed 3000-base reference from a xorshift generator, so
+// the container hashes below depend on the encoding alone.
+func pinnedRef() dna.Sequence {
+	ref := make(dna.Sequence, 3000)
+	x := uint64(0x9e3779b97f4a7c15)
+	for i := range ref {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		ref[i] = dna.Base(x >> 62)
+	}
+	return ref
+}
+
+// TestPersistedBytesPinned pins the SHA-256 of the fmindex, cpu and
+// sharded:fmindex containers for pinnedRef: the FM-index payloads and
+// the shard geometry share idxio's packed-base and int32-array codecs
+// with casa, and those must leave their bytes as they were.
+func TestPersistedBytesPinned(t *testing.T) {
+	ref := pinnedRef()
+	chroms := []idxio.Chromosome{{Name: "pin", Start: 0, Length: int64(len(ref))}}
+	for _, tc := range []struct{ name, sum string }{
+		{"fmindex", "8319c4dc87c62a42b6a2e07b20693af2dd9808fb89cadd1a1a6dca0b49ddd805"},
+		{"cpu", "bf4e8b2731a3c825fa020387cd4319070ccdd31c2effdecfc333f71c564467b5"},
+		{"sharded:fmindex", "83b7e6ba3614c5935ccd3347a8cf21cfa2201378a3a8437cb32c60edb08c8fc6"},
+	} {
+		opt := engine.Options{MinSMEM: 19, Shards: 3}
+		e, err := engine.New(tc.name, ref, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := engine.SaveIndex(&buf, e, opt, chroms); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != tc.sum {
+			t.Errorf("%s container SHA-256 = %s, want %s", tc.name, got, tc.sum)
+		}
+	}
+}
+
+// TestLoadIndexRejectsParentFormat pins the format break: a casa
+// container from before the three-section encoding held one
+// "casa/accelerator" section with its own nested framing, and loading it
+// now fails with an error naming that section rather than misreading it.
+func TestLoadIndexRejectsParentFormat(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := idxio.NewWriter(&buf, idxio.Header{Engine: "casa", MinSMEM: 19})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Section("casa/accelerator", func(sw io.Writer) error {
+		_, err := sw.Write(make([]byte, 96))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = engine.LoadIndex(bytes.NewReader(buf.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), `"casa/accelerator"`) {
+		t.Fatalf("parent-format container: err = %v, want one naming casa/accelerator", err)
 	}
 }

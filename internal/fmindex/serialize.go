@@ -1,20 +1,21 @@
 package fmindex
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 
 	"casa/internal/dna"
+	"casa/internal/idxio"
 	"casa/internal/suffixarray"
 )
 
 // Index serialization for the casa-idx container (§4.1's offline index
-// construction, applied to the FM-index engines): the text is stored
-// packed four bases per byte and the suffix array as int32 rows; the
-// occ planes and C table are cheap to recompute in one linear pass
-// (BuildFromSA), so they are not stored. Payload layout, little-endian:
+// construction, applied to the FM-index engines). The rule, shared with
+// the casa engine: store what was sorted, derive what was counted. The
+// text and its suffix array are stored; the occ planes and C table are
+// recomputed in one linear pass (BuildFromSA, which Build also goes
+// through). Payload layout, little-endian, in idxio's array encodings:
 //
 //	u64 n | ceil(n/4) packed text bytes | (n+1) x i32 suffix array
 //
@@ -22,88 +23,26 @@ import (
 // only validates structure, so a corrupted-but-CRC-valid stream can
 // never build an index that indexes out of bounds.
 
-// serializeChunk bounds both the write staging buffer and the trust a
-// reader places in on-disk lengths before bytes actually arrive.
-const serializeChunk = 1 << 20
-
 // Serialize writes the index's text and suffix array to w.
 func (f *FMIndex) Serialize(w io.Writer) error {
-	var u [8]byte
-	binary.LittleEndian.PutUint64(u[:], uint64(f.n))
-	if _, err := w.Write(u[:]); err != nil {
+	if err := idxio.WriteBases(w, f.text); err != nil {
 		return err
 	}
-	buf := make([]byte, 0, serializeChunk)
-	for i := 0; i < f.n; i += 4 {
-		var b byte
-		for j := 0; j < 4 && i+j < f.n; j++ {
-			b |= byte(f.text[i+j]) << uint(2*j)
-		}
-		buf = append(buf, b)
-		if len(buf) == serializeChunk {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
-	}
-	for _, p := range f.sa {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(p))
-		if len(buf) >= serializeChunk {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
+	return idxio.WriteInt32s(w, f.sa)
 }
 
 // Deserialize reads a Serialize payload back and rebuilds the full
-// index. Allocation is chunked so it tracks the bytes actually read,
-// not a length a corrupted stream merely claims.
+// index. Allocation tracks the bytes actually read, not a length a
+// corrupted stream merely claims.
 func Deserialize(r io.Reader) (*FMIndex, error) {
-	var u [8]byte
-	if _, err := io.ReadFull(r, u[:]); err != nil {
-		return nil, fmt.Errorf("fmindex: reading text length: %w", err)
+	// The suffix array's n+1 rows must fit int32.
+	text, err := idxio.ReadBases(r, math.MaxInt32-1)
+	if err != nil {
+		return nil, fmt.Errorf("fmindex: text: %w", err)
 	}
-	n64 := binary.LittleEndian.Uint64(u[:])
-	if n64 >= math.MaxInt32 {
-		return nil, fmt.Errorf("fmindex: serialized text length %d exceeds the int32 suffix-array limit", n64)
-	}
-	n := int(n64)
-
-	packedLen := (n + 3) / 4
-	text := make(dna.Sequence, 0, min(n, serializeChunk))
-	var chunk [serializeChunk / 16]byte
-	for read := 0; read < packedLen; {
-		c := min(packedLen-read, len(chunk))
-		if _, err := io.ReadFull(r, chunk[:c]); err != nil {
-			return nil, fmt.Errorf("fmindex: reading packed text: %w", err)
-		}
-		for _, b := range chunk[:c] {
-			for j := 0; j < 4 && len(text) < n; j++ {
-				text = append(text, dna.Base(b>>uint(2*j))&3)
-			}
-		}
-		read += c
-	}
-
-	sa := make([]int32, 0, min(n+1, serializeChunk))
-	for read := 0; read < (n+1)*4; {
-		c := min((n+1)*4-read, len(chunk)&^3)
-		if _, err := io.ReadFull(r, chunk[:c]); err != nil {
-			return nil, fmt.Errorf("fmindex: reading suffix array: %w", err)
-		}
-		for off := 0; off < c; off += 4 {
-			sa = append(sa, int32(binary.LittleEndian.Uint32(chunk[off:])))
-		}
-		read += c
+	sa, err := idxio.ReadInt32s(r, len(text)+1)
+	if err != nil {
+		return nil, fmt.Errorf("fmindex: suffix array: %w", err)
 	}
 	return BuildFromSA(text, sa)
 }

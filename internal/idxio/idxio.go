@@ -9,9 +9,10 @@
 // with every integer little-endian. The header carries the engine's
 // registry name, the cross-engine construction options and the reference
 // chromosome map; each engine then appends the sections it owns
-// ("casa/accelerator", "fmindex/fwd", ...), so the container never needs
-// to know an engine's internals. Sharded engines namespace their inner
-// engines' sections with Prefixed.
+// ("casa/config", "casa/ref", "casa/positions", "fmindex/fwd", ...), so
+// the container never needs to know an engine's internals. Sharded
+// engines namespace their inner engines' sections with Prefixed. Inside
+// a section, engines use the two array encodings in arrays.go.
 //
 // Readers are streaming and hostile-input safe: section payloads are
 // consumed through length-limited, CRC-checked readers in bounded

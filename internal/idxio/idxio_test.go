@@ -271,7 +271,7 @@ func TestOversizedSectionLengthFailsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Section("casa/accelerator", func(w io.Writer) error {
+	if err := w.Section("casa/positions", func(w io.Writer) error {
 		_, err := w.Write([]byte("tiny"))
 		return err
 	}); err != nil {
@@ -291,8 +291,8 @@ func TestOversizedSectionLengthFailsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = r.Section("casa/accelerator")
-	if err == nil || !strings.Contains(err.Error(), "casa/accelerator") {
+	_, err = r.Section("casa/positions")
+	if err == nil || !strings.Contains(err.Error(), "casa/positions") {
 		t.Fatalf("expected bounded failure naming the section, got %v", err)
 	}
 }

@@ -453,7 +453,8 @@ func (s *Sharded) LoadIndex(r *idxio.Reader) error {
 // Geometry payload, little-endian:
 //
 //	u64 overlap | u64 shards | shards x (u64 start, u64 len)
-//	| (shards-1) x (u64 winStart, u64 winLen, ceil(winLen/4) packed bases)
+//	| (shards-1) x (u64 winStart, window bases in idxio.WriteBases form:
+//	  u64 winLen, ceil(winLen/4) packed bytes)
 func (s *Sharded) writeGeometry(w io.Writer) error {
 	var buf []byte
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.overlap))
@@ -464,14 +465,13 @@ func (s *Sharded) writeGeometry(w io.Writer) error {
 	}
 	for i, win := range s.windows {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(s.winStart[i]))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(win)))
-		for j := 0; j < len(win); j += 4 {
-			var b byte
-			for k := 0; k < 4 && j+k < len(win); k++ {
-				b |= byte(win[j+k]) << uint(2*k)
-			}
-			buf = append(buf, b)
+		if _, err := w.Write(buf); err != nil {
+			return err
 		}
+		if err := idxio.WriteBases(w, win); err != nil {
+			return err
+		}
+		buf = buf[:0]
 	}
 	_, err := w.Write(buf)
 	return err
@@ -497,27 +497,13 @@ func (s *Sharded) readGeometry(r io.Reader) error {
 	}
 	s.windows, s.winStart = s.windows[:0], s.winStart[:0]
 	for i := uint64(0); i+1 < shards; i++ {
-		if _, err := io.ReadFull(r, u[:]); err != nil {
+		if _, err := io.ReadFull(r, u[:8]); err != nil {
 			return err
 		}
 		s.winStart = append(s.winStart, int64(binary.LittleEndian.Uint64(u[0:])))
-		winLen := binary.LittleEndian.Uint64(u[8:])
-		if winLen > 1<<32 {
-			return fmt.Errorf("implausible window length %d", winLen)
-		}
-		win := make(dna.Sequence, 0, winLen)
-		var chunk [4096]byte
-		for read := uint64(0); read < (winLen+3)/4; {
-			c := min(int((winLen+3)/4-read), len(chunk))
-			if _, err := io.ReadFull(r, chunk[:c]); err != nil {
-				return err
-			}
-			for _, b := range chunk[:c] {
-				for k := 0; k < 4 && uint64(len(win)) < winLen; k++ {
-					win = append(win, dna.Base(b>>uint(2*k))&3)
-				}
-			}
-			read += uint64(c)
+		win, err := idxio.ReadBases(r, 1<<32)
+		if err != nil {
+			return fmt.Errorf("window %d: %w", i, err)
 		}
 		s.windows = append(s.windows, win)
 	}

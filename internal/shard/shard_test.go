@@ -2,12 +2,16 @@ package shard_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 
 	"casa/internal/batch"
 	"casa/internal/dna"
 	"casa/internal/engine"
+	"casa/internal/idxio"
 	"casa/internal/readsim"
 	"casa/internal/shard"
 	"casa/internal/smem"
@@ -225,5 +229,68 @@ func TestShardedTraceSpans(t *testing.T) {
 	}
 	if want := len(reads) * e.(*shard.Sharded).Shards(); shardSpans != want {
 		t.Fatalf("%d shard spans, want %d", shardSpans, want)
+	}
+}
+
+// A CRC-valid geometry section whose window claims 2^32 bases but holds
+// a few must fail naming the section, without allocating for the claim.
+func TestGeometryRejectsLyingWindowLength(t *testing.T) {
+	ref, _ := testWorkload(t, 1<<12, 1)
+	opt := engine.Options{MinSMEM: 19, Shards: 2}
+	built, err := engine.New("sharded:fmindex", ref, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := engine.SaveIndex(&buf, built, opt, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Copy the container section by section, patching the window length:
+	// u64 overlap, u64 shards, 2 x (u64 start, u64 len), u64 winStart.
+	r, hdr, err := idxio.NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, infos, err := idxio.ReadInfo(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var forged bytes.Buffer
+	w, err := idxio.NewWriter(&forged, hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range infos {
+		sec, err := r.Section(in.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(sec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in.Name == "shard/geometry" {
+			binary.LittleEndian.PutUint64(body[56:], 1<<32)
+		}
+		if err := w.Section(in.Name, func(sw io.Writer) error {
+			_, err := sw.Write(body)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err = engine.LoadIndex(bytes.NewReader(forged.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "shard/geometry") {
+		t.Fatalf("err = %v, want one naming shard/geometry", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Errorf("loading a lying window length allocated %d bytes", grew)
 	}
 }
