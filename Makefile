@@ -63,13 +63,17 @@ bench-all:
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'BandedFit|ExtendRead|EditDistance' -benchmem ./internal/align/ ./internal/seedex/
 
+# Every Fuzz* target in the module, in the same order as CI's fuzz-smoke job.
 fuzz:
-	$(GO) test ./internal/align/ -fuzz FuzzBandedFit -fuzztime 15s
+	$(GO) test ./internal/dna/ -fuzz FuzzDNARoundTrip -fuzztime 15s
+	$(GO) test ./internal/smem/ -fuzz FuzzSMEMEnginesAgree -fuzztime 15s
+	$(GO) test ./internal/smem/ -fuzz FuzzAppendMerged -fuzztime 15s
 	$(GO) test ./internal/seqio/ -fuzz FuzzReadFasta -fuzztime 15s
 	$(GO) test ./internal/seqio/ -fuzz FuzzReadFastq -fuzztime 15s
 	$(GO) test ./internal/idxio/ -fuzz FuzzIndexRoundTrip -fuzztime 15s
 	$(GO) test ./internal/idxio/ -fuzz FuzzIndexCorrupted -fuzztime 15s
 	$(GO) test ./internal/engine/ -fuzz FuzzLoadCASAIndex -fuzztime 15s
+	$(GO) test ./internal/align/ -fuzz FuzzBandedFit -fuzztime 15s
 
 # Live-telemetry smoke: a race-built casa-smem run observed mid-flight
 # through /progress and /events, then interrupted (see the script).

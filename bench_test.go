@@ -17,7 +17,6 @@ import (
 	"casa"
 	"casa/internal/experiments"
 	"casa/internal/gencache"
-	"casa/internal/smem"
 )
 
 var (
@@ -366,22 +365,21 @@ func BenchmarkBatchCASA(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchFMIndex runs the FM-index bidirectional finder over the
-// same batch through the generic pooled front door.
+// BenchmarkBatchFMIndex runs the fmindex registry engine (the
+// bidirectional FM-index finder) over the same batch through the pooled
+// front door every engine shares.
 func BenchmarkBatchFMIndex(b *testing.B) {
 	batchFixture(b)
-	f := smem.NewBidirectional(batchRef)
+	eng, err := casa.NewEngine("fmindex", batchRef, casa.EngineOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run("workers="+itoa(w), func(b *testing.B) {
 			b.ReportAllocs()
 			opts := casa.BatchOptions{Workers: w}
 			for i := 0; i < b.N; i++ {
-				casa.FindSMEMsBatch(batchReads, 19, opts, func(worker int) casa.Finder {
-					if worker == 0 {
-						return f
-					}
-					return f.Clone()
-				})
+				casa.RunEngine(eng, batchReads, opts)
 			}
 		})
 	}

@@ -192,6 +192,9 @@ func TestSeedBaselinesMatchSeedReads(t *testing.T) {
 	}
 }
 
+// TestFindSMEMsMatchesDirectCalls: the fmindex registry engine seeded on
+// the pool returns exactly what direct FindSMEMs calls on its finder
+// return, at every worker count.
 func TestFindSMEMsMatchesDirectCalls(t *testing.T) {
 	ref, reads := testWorkload(t, 1<<14, 120)
 	f := smem.NewBidirectional(ref)
@@ -199,15 +202,14 @@ func TestFindSMEMsMatchesDirectCalls(t *testing.T) {
 	for i, r := range reads {
 		want[i] = f.FindSMEMs(r, 19)
 	}
+	e, err := engine.New("fmindex", ref, engine.Options{MinSMEM: 19})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, w := range workerCounts {
-		got := batch.FindSMEMs(reads, 19, batch.Options{Workers: w}, func(worker int) smem.Finder {
-			if worker == 0 {
-				return f
-			}
-			return f.Clone()
-		})
+		got := e.SMEMs(batch.SeedEngine(e, reads, batch.Options{Workers: w}))
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: pooled FindSMEMs differ from direct calls", w)
+			t.Errorf("workers=%d: pooled fmindex engine differs from direct FindSMEMs calls", w)
 		}
 	}
 }

@@ -7,64 +7,8 @@ import (
 	"casa/internal/dna"
 	"casa/internal/engine"
 	"casa/internal/metrics"
-	"casa/internal/smem"
 	"casa/internal/trace"
 )
-
-// clonePool returns workers engine instances for the resolved pool size:
-// slot 0 is the original engine (its counters keep accumulating, as a
-// sequential run's would), the rest are clones.
-func clonePool[E any](original E, workers int, clone func(E) E) []E {
-	engines := make([]E, workers)
-	engines[0] = original
-	for w := 1; w < workers; w++ {
-		engines[w] = clone(original)
-	}
-	return engines
-}
-
-// workerRegistries returns one private registry per worker when o.Metrics
-// is set (so workers publish without contending), else nil.
-func workerRegistries(o Options) []*metrics.Registry {
-	if o.Metrics == nil {
-		return nil
-	}
-	regs := make([]*metrics.Registry, o.WorkerCount())
-	for i := range regs {
-		regs[i] = metrics.New()
-	}
-	return regs
-}
-
-// mergeRegistries folds the per-worker registries into o.Metrics in
-// worker order. Activity metrics are additive integer counters, so any
-// merge order yields the sequential run's totals; worker order keeps the
-// operation deterministic anyway.
-func mergeRegistries(o Options, regs []*metrics.Registry) {
-	for _, r := range regs {
-		o.Metrics.Merge(r)
-	}
-}
-
-// withEngine resolves the observability label for a seeding entry point:
-// the caller's Options.Engine if set, else the engine's own name.
-func withEngine(o Options, def string) Options {
-	if o.Engine == "" {
-		o.Engine = def
-	}
-	return o
-}
-
-// traceBuffers returns one span buffer per worker, labelled with the
-// run's engine name. With tracing off (o.Trace nil) every buffer is the
-// nil no-op sink, so callers index unconditionally.
-func traceBuffers(o Options) []*trace.Buffer {
-	bufs := make([]*trace.Buffer, o.WorkerCount())
-	for i := range bufs {
-		bufs[i] = o.Trace.NewBuffer(o.Engine)
-	}
-	return bufs
-}
 
 // Seed runs any registered engine over reads on the worker pool and
 // returns its Result asserted to the engine's concrete result type, e.g.
@@ -110,10 +54,30 @@ func SeedEngine(e engine.Engine, reads []dna.Sequence, o Options) engine.Result 
 // progress consistent with that prefix, and the error is ctx.Err(). A
 // run that completes returns n == len(reads) and a nil error.
 func SeedEngineCtx(ctx context.Context, e engine.Engine, reads []dna.Sequence, o Options) (engine.Result, int, error) {
-	o = withEngine(o, e.Name())
-	engines := clonePool(e, o.WorkerCount(), engine.Engine.Clone)
-	regs := workerRegistries(o)
-	bufs := traceBuffers(o)
+	if o.Engine == "" {
+		o.Engine = e.Name()
+	}
+	// Per worker: an engine instance (slot 0 is e itself, so its counters
+	// keep accumulating as a sequential run's would), a span buffer (the
+	// nil no-op sink with tracing off) and, with metrics on, a private
+	// registry so workers publish without contending.
+	workers := o.WorkerCount()
+	engines := make([]engine.Engine, workers)
+	bufs := make([]*trace.Buffer, workers)
+	var regs []*metrics.Registry
+	if o.Metrics != nil {
+		regs = make([]*metrics.Registry, workers)
+	}
+	for w := range engines {
+		engines[w] = e
+		if w > 0 {
+			engines[w] = e.Clone()
+		}
+		bufs[w] = o.Trace.NewBuffer(o.Engine)
+		if regs != nil {
+			regs[w] = metrics.New()
+		}
+	}
 	cycles, _ := e.(engine.CycleCoster)
 	acts, done, err := RunCtx(ctx, len(reads), o, func(w, lo, hi int) engine.Activity {
 		act := engines[w].SeedTrace(reads[lo:hi], bufs[w], o.ReadBase+lo)
@@ -130,7 +94,12 @@ func SeedEngineCtx(ctx context.Context, e engine.Engine, reads []dna.Sequence, o
 	o.wallPhase("reduce", reduceStart)
 	if o.Metrics != nil {
 		mergeStart := o.wallNow()
-		mergeRegistries(o, regs)
+		// Activity metrics are additive integer counters, so any merge
+		// order yields the sequential run's totals; worker order keeps
+		// the operation deterministic anyway.
+		for _, r := range regs {
+			o.Metrics.Merge(r)
+		}
 		for _, eng := range engines {
 			if wp, ok := eng.(engine.WorkerPublisher); ok {
 				wp.PublishWorkerMetrics(o.Metrics)
@@ -140,58 +109,4 @@ func SeedEngineCtx(ctx context.Context, e engine.Engine, reads []dna.Sequence, o
 		o.wallPhase("merge-metrics", mergeStart)
 	}
 	return res, done, err
-}
-
-// seedCoster is the optional finder extension the traced FindSMEMs path
-// uses: the modelled cost of the finder's most recent FindSMEMs call, in
-// the finder's native unit (FM-index steps, RMEM pivots, ...).
-type seedCoster interface {
-	SeedCost() int64
-}
-
-// FindSMEMs runs finder.FindSMEMs for every read on the worker pool and
-// returns the per-read SMEM sets in input order. newFinder must return an
-// independent finder per worker (a Clone sharing the index); it is called
-// once per worker, with worker 0 first and on the caller's goroutine, so
-// lazy sharing setups need no locking.
-//
-// With o.Trace set and finders implementing SeedCost, every read gets one
-// "find" span on the "seed" track (engine label per o.Engine, default
-// "fmindex").
-func FindSMEMs(reads []dna.Sequence, minLen int, o Options, newFinder func(worker int) smem.Finder) [][]smem.Match {
-	out, _, _ := FindSMEMsCtx(context.Background(), reads, minLen, o, newFinder)
-	return out
-}
-
-// FindSMEMsCtx is FindSMEMs with cooperative cancellation: on
-// cancellation the returned slice covers exactly the completed read
-// prefix (its length is the second return value) and the error is
-// ctx.Err().
-func FindSMEMsCtx(ctx context.Context, reads []dna.Sequence, minLen int, o Options, newFinder func(worker int) smem.Finder) ([][]smem.Match, int, error) {
-	o = withEngine(o, "fmindex")
-	workers := o.WorkerCount()
-	finders := make([]smem.Finder, workers)
-	for w := range finders {
-		finders[w] = newFinder(w)
-	}
-	bufs := traceBuffers(o)
-	shards, done, err := RunCtx(ctx, len(reads), o, func(w, lo, hi int) [][]smem.Match {
-		out := make([][]smem.Match, hi-lo)
-		tb := bufs[w]
-		costed, _ := finders[w].(seedCoster)
-		for i, r := range reads[lo:hi] {
-			out[i] = finders[w].FindSMEMs(r, minLen)
-			if tb != nil && costed != nil {
-				tb.Emit(o.ReadBase+lo+i, "seed", "find", 0, costed.SeedCost())
-			}
-		}
-		return out
-	})
-	mergeStart := o.wallNow()
-	merged := make([][]smem.Match, 0, done)
-	for _, s := range shards {
-		merged = append(merged, s...)
-	}
-	o.wallPhase("merge", mergeStart)
-	return merged, done, err
 }

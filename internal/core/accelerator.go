@@ -231,9 +231,9 @@ func (a *Accelerator) SeedTrace(reads []dna.Sequence, tb *trace.Buffer, base int
 
 	for i, r := range reads {
 		a.seedStrands(r, act, tb, tracks, base+i)
-		a.scr.merged = appendMergedSMEMs(a.scr.merged[:0], a.scr.strand[0])
+		a.scr.merged = smem.AppendMerged(a.scr.merged[:0], a.scr.strand[0])
 		fwd := smem.Retain(a.scr.merged)
-		a.scr.merged = appendMergedSMEMs(a.scr.merged[:0], a.scr.strand[1])
+		a.scr.merged = smem.AppendMerged(a.scr.merged[:0], a.scr.strand[1])
 		act.Reads[i] = ReadResult{Forward: fwd, Reverse: smem.Retain(a.scr.merged)}
 	}
 	return act
@@ -335,8 +335,8 @@ func (a *Accelerator) seedStrands(read dna.Sequence, act *Activity, tb *trace.Bu
 // pins; partition activity counters still accumulate exactly as in Seed.
 func (a *Accelerator) SeedReadInto(fwd, rev []smem.Match, read dna.Sequence) ([]smem.Match, []smem.Match) {
 	a.seedStrands(read, nil, nil, nil, 0)
-	fwd = appendMergedSMEMs(fwd, a.scr.strand[0])
-	rev = appendMergedSMEMs(rev, a.scr.strand[1])
+	fwd = smem.AppendMerged(fwd, a.scr.strand[0])
+	rev = smem.AppendMerged(rev, a.scr.strand[1])
 	return fwd, rev
 }
 
@@ -448,47 +448,6 @@ func (a *Accelerator) HitPositions(read dna.Sequence, m smem.Match, max int) []i
 		}
 	}
 	return out
-}
-
-// MergeSMEMs merges per-partition SMEM sets for one read strand: exact
-// duplicate intervals have their hits summed (the same match found in the
-// overlap region of two partitions), and intervals contained in a longer
-// reported interval are dropped. With a partition overlap of at least the
-// read length, the result equals the whole-reference SMEM set.
-func MergeSMEMs(ms []smem.Match) []smem.Match {
-	if len(ms) == 0 {
-		return nil
-	}
-	return appendMergedSMEMs(nil, ms)
-}
-
-// appendMergedSMEMs is MergeSMEMs appending into dst, reordering and
-// compacting ms in place. After the cover-order sort (start ascending, end
-// descending) duplicate intervals are adjacent — their hits sum — and an
-// interval is strictly contained in another exactly when an earlier entry's
-// end reaches its end, so a linear scan with a running maximum replaces the
-// quadratic pairwise check. Survivors have strictly increasing starts and
-// ends, i.e. they are already canonically sorted.
-func appendMergedSMEMs(dst, ms []smem.Match) []smem.Match {
-	smem.SortCover(ms)
-	w := 0
-	for _, m := range ms {
-		if w > 0 && ms[w-1].Start == m.Start && ms[w-1].End == m.End {
-			ms[w-1].Hits += m.Hits
-			continue
-		}
-		ms[w] = m
-		w++
-	}
-	maxEnd := -1
-	for _, m := range ms[:w] {
-		if m.End <= maxEnd {
-			continue
-		}
-		maxEnd = m.End
-		dst = append(dst, m)
-	}
-	return dst
 }
 
 // energyReport converts accumulated activity into the Table 4 style

@@ -114,23 +114,6 @@ func TestSeedReadsExactRetirement(t *testing.T) {
 	}
 }
 
-func TestMergeSMEMs(t *testing.T) {
-	in := []smem.Match{
-		{Start: 5, End: 30, Hits: 2},
-		{Start: 5, End: 30, Hits: 1}, // duplicate: hits sum
-		{Start: 6, End: 29, Hits: 1}, // contained: dropped
-		{Start: 0, End: 10, Hits: 1}, // distinct: kept
-	}
-	got := MergeSMEMs(in)
-	want := []smem.Match{{Start: 0, End: 10, Hits: 1}, {Start: 5, End: 30, Hits: 3}}
-	if !smem.Equal(got, want) {
-		t.Errorf("MergeSMEMs = %v, want %v", got, want)
-	}
-	if MergeSMEMs(nil) != nil {
-		t.Error("MergeSMEMs(nil) != nil")
-	}
-}
-
 func TestResultTimingAndThroughput(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	cfg := testConfig()

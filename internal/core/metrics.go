@@ -5,8 +5,17 @@ import "casa/internal/metrics"
 // Engine is the metric-name prefix for the CASA accelerator.
 const Engine = "casa"
 
-// publishPartStats adds one aggregated PartStats into the casa/* counters.
-func publishPartStats(reg *metrics.Registry, s PartStats) {
+// PublishMetrics adds this shard's additive activity counters into reg.
+// Safe to call from the worker that owns the activity; shard registries
+// merged in any order equal the sequential run's registry.
+func (act *Activity) PublishMetrics(reg *metrics.Registry) {
+	var s PartStats
+	for _, p := range act.Stage1 {
+		s.add(p)
+	}
+	for _, p := range act.Stage2 {
+		s.add(p)
+	}
 	reg.Counter("casa/reads/seeded").Add(s.ReadsSeeded)
 	reg.Counter("casa/reads/discarded").Add(s.ReadsDiscarded)
 	reg.Counter("casa/reads/exact").Add(s.ReadsExact)
@@ -30,20 +39,6 @@ func publishPartStats(reg *metrics.Registry, s PartStats) {
 	reg.Counter("casa/filter/tag_searches").Add(s.Filter.TagSearches)
 	reg.Counter("casa/filter/tag_rows_enabled").Add(s.Filter.TagRowsEnabled)
 	reg.Counter("casa/filter/data_accesses").Add(s.Filter.DataAccesses)
-}
-
-// PublishMetrics adds this shard's additive activity counters into reg.
-// Safe to call from the worker that owns the activity; shard registries
-// merged in any order equal the sequential run's registry.
-func (act *Activity) PublishMetrics(reg *metrics.Registry) {
-	var s PartStats
-	for _, p := range act.Stage1 {
-		s.add(p)
-	}
-	for _, p := range act.Stage2 {
-		s.add(p)
-	}
-	publishPartStats(reg, s)
 	reg.Counter("casa/dram/read_stream_bytes").Add(act.ReadBytes)
 }
 
@@ -58,12 +53,4 @@ func (res *Result) PublishModelMetrics(reg *metrics.Registry) {
 	reg.Gauge("casa/model/reads_per_mj").Set(res.ReadsPerMJ())
 	res.DRAM.PublishMetrics(reg, Engine)
 	res.Energy.PublishMetrics(reg, Engine)
-}
-
-// PublishMetrics publishes both the aggregated activity counters and the
-// model gauges of a sequential (single-shard) run.
-func (res *Result) PublishMetrics(reg *metrics.Registry) {
-	publishPartStats(reg, res.Stats)
-	reg.Counter("casa/dram/read_stream_bytes").Add(res.DRAM.BytesRead)
-	res.PublishModelMetrics(reg)
 }

@@ -90,37 +90,6 @@ func TestPropertyIndicatorSubsumesOccurrences(t *testing.T) {
 	}
 }
 
-func TestPropertyMergeSMEMsIdempotent(t *testing.T) {
-	f := func(starts []uint8, lens []uint8) bool {
-		var ms []smem.Match
-		for i := range starts {
-			if i >= len(lens) {
-				break
-			}
-			s := int(starts[i]) % 80
-			l := 1 + int(lens[i])%40
-			ms = append(ms, smem.Match{Start: s, End: s + l, Hits: 1})
-		}
-		once := MergeSMEMs(append([]smem.Match(nil), ms...))
-		twice := MergeSMEMs(append([]smem.Match(nil), once...))
-		if !smem.Equal(once, twice) {
-			return false
-		}
-		// No merged interval may contain another.
-		for i, m := range once {
-			for j, o := range once {
-				if i != j && o.Contains(m) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPropertySeedReadOutputStructure(t *testing.T) {
 	// Structural invariants of Algorithm 1's output on arbitrary inputs:
 	// SMEMs sorted with strictly increasing starts AND ends, length >=

@@ -20,10 +20,3 @@ func (res *Result) PublishModelMetrics(reg *metrics.Registry) {
 	reg.Gauge("cpu/model/throughput_reads_per_s").Set(res.Throughput)
 	reg.Gauge("cpu/model/reads_per_mj").Set(res.ReadsPerMJ)
 }
-
-// PublishMetrics publishes the aggregated step counter and the model
-// outputs of a sequential (single-shard) run.
-func (res *Result) PublishMetrics(reg *metrics.Registry) {
-	reg.Counter("cpu/fm/steps").Add(res.Steps)
-	res.PublishModelMetrics(reg)
-}

@@ -17,21 +17,14 @@ func testRef(t *testing.T) dna.Sequence {
 }
 
 func TestListOrderAndGolden(t *testing.T) {
-	base := []string{"casa", "ert", "genax", "gencache", "cpu", "fmindex", "brute"}
-	want := append([]string{}, base...)
-	// package shard's init registers one composite per flat engine, in
-	// the flat registration order.
-	for _, n := range base {
-		want = append(want, "sharded:"+n)
-	}
-	got := engine.Names()
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("registration order %v, want %v", got, want)
+	// package shard's init registers one composite per persisting engine
+	// (casa, cpu, fmindex), in the flat registration order.
+	want := "casa,ert,genax,gencache,cpu,fmindex,brute,sharded:casa,sharded:cpu,sharded:fmindex"
+	if got := strings.Join(engine.Names(), ","); got != want {
+		t.Fatalf("registration order %s, want %s", got, want)
 	}
 	for _, f := range engine.List() {
-		// Golden-ness propagates through the sharded composite: the
-		// sharded oracle is still an oracle.
-		if f.Golden != (strings.TrimPrefix(f.Name, "sharded:") == "brute") {
+		if f.Golden != (f.Name == "brute") {
 			t.Errorf("%s: Golden=%v", f.Name, f.Golden)
 		}
 		if f.Description == "" {
@@ -43,11 +36,17 @@ func TestListOrderAndGolden(t *testing.T) {
 func TestLookupAliases(t *testing.T) {
 	for alias, name := range map[string]string{
 		"bruteforce": "brute", "golden": "brute", "bwa": "cpu", "fm": "fmindex",
-		"sharded:golden": "sharded:brute", "sharded:fm": "sharded:fmindex",
+		"sharded:bwa": "sharded:cpu", "sharded:fm": "sharded:fmindex",
 	} {
 		f, ok := engine.Lookup(alias)
 		if !ok || f.Name != name {
 			t.Errorf("Lookup(%q) = %v, %v; want factory %q", alias, f.Name, ok, name)
+		}
+	}
+	// Composites exist only over persisting engines.
+	for _, gone := range []string{"sharded:brute", "sharded:golden", "sharded:ert", "sharded:genax", "sharded:gencache"} {
+		if _, ok := engine.Lookup(gone); ok {
+			t.Errorf("Lookup(%q) resolves, but %s does not persist", gone, strings.TrimPrefix(gone, "sharded:"))
 		}
 	}
 }

@@ -5,27 +5,15 @@ import "casa/internal/metrics"
 // Engine is the metric-name prefix for the ASIC-ERT baseline.
 const Engine = "ert"
 
-// publishStats adds one search-counter snapshot into the ert/* counters.
-func publishStats(reg *metrics.Registry, s Stats) {
-	reg.Counter("ert/search/index_fetches").Add(s.IndexFetches)
-	reg.Counter("ert/search/node_fetches").Add(s.NodeFetches)
-	reg.Counter("ert/search/ref_fetches").Add(s.RefFetches)
-	reg.Counter("ert/search/pivots").Add(s.Pivots)
-	reg.Counter("ert/search/reads").Add(s.Reads)
-}
-
 // PublishMetrics adds this shard's additive activity counters into reg.
 // Shard registries merged in any order equal the sequential run's.
 func (act *Activity) PublishMetrics(reg *metrics.Registry) {
-	publishStats(reg, act.Stats)
+	reg.Counter("ert/search/index_fetches").Add(act.Stats.IndexFetches)
+	reg.Counter("ert/search/node_fetches").Add(act.Stats.NodeFetches)
+	reg.Counter("ert/search/ref_fetches").Add(act.Stats.RefFetches)
+	reg.Counter("ert/search/pivots").Add(act.Stats.Pivots)
+	reg.Counter("ert/search/reads").Add(act.Stats.Reads)
 	reg.Counter("ert/dram/read_stream_bytes").Add(act.ReadBytes)
-}
-
-// PublishMetrics adds the index's accumulated search counters into reg —
-// for direct (non-Accelerator) use of the ERT index, e.g. as an SMEM
-// finder. Call once per run per index instance.
-func (ix *Index) PublishMetrics(reg *metrics.Registry) {
-	publishStats(reg, ix.Stats)
 }
 
 // PublishModelMetrics publishes the finalized model outputs of a reduced
@@ -40,13 +28,4 @@ func (res *Result) PublishModelMetrics(reg *metrics.Registry) {
 	reg.Gauge("ert/model/reads_per_mj").Set(res.ReadsPerMJ)
 	res.DRAM.PublishMetrics(reg, Engine)
 	res.Energy.PublishMetrics(reg, Engine)
-}
-
-// PublishMetrics publishes the aggregated search counters and the model
-// outputs of a sequential (single-shard) run. The read-stream byte
-// counter is only available from per-shard activities and is not
-// re-published here.
-func (res *Result) PublishMetrics(reg *metrics.Registry) {
-	publishStats(reg, res.Stats)
-	res.PublishModelMetrics(reg)
 }

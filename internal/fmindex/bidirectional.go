@@ -75,35 +75,6 @@ func (b *Bidirectional) ForwardSearchAppend(dst []ForwardStep, query dna.Sequenc
 	return dst
 }
 
-// LongestMatchFrom returns the largest end index e (inclusive) such that
-// query[start..e] occurs in the text, together with the number of hits of
-// that longest match. ok is false when even the single base query[start]
-// does not occur.
-func (b *Bidirectional) LongestMatchFrom(query dna.Sequence, start int) (end, hits int, ok bool) {
-	iv := b.Rev.All()
-	end, hits = -1, 0
-	for e := start; e < len(query); e++ {
-		next := b.Rev.ExtendLeft(iv, query[e])
-		if next.Empty() {
-			break
-		}
-		iv = next
-		end, hits = e, iv.Width()
-		if hits == 1 {
-			// Unique occurrence: finish by direct text comparison (see
-			// ForwardSearchAppend).
-			rev := b.Rev.Text()
-			p := int(b.Rev.SuffixAt(iv.Lo))
-			for end+1 < len(query) && p > 0 && rev[p-1] == query[end+1] {
-				end++
-				p--
-			}
-			break
-		}
-	}
-	return end, hits, end >= start
-}
-
 // LongestMatchEndingAt returns the smallest start index x such that
 // query[x..end] occurs in the text, with its hit count. ok is false when
 // query[end] itself does not occur.

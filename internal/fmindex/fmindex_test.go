@@ -151,17 +151,6 @@ func TestForwardSearchAgainstNaive(t *testing.T) {
 	}
 }
 
-func TestLongestMatchFrom(t *testing.T) {
-	text := dna.FromString("ACGTACGTTTACGA")
-	bd := BuildBidirectional(text)
-	q := dna.FromString("ACGTTTACGC")
-	end, hits, ok := bd.LongestMatchFrom(q, 0)
-	// ACGTTTACG occurs (positions 4..12); adding final C fails.
-	if !ok || end != 8 || hits != 1 {
-		t.Errorf("LongestMatchFrom = (%d, %d, %v), want (8, 1, true)", end, hits, ok)
-	}
-}
-
 func TestLongestMatchEndingAt(t *testing.T) {
 	text := dna.FromString("ACGTACGTTTACGA")
 	bd := BuildBidirectional(text)
@@ -170,31 +159,6 @@ func TestLongestMatchEndingAt(t *testing.T) {
 	// ACGTTT occurs once; prepending the leading C fails.
 	if !ok || start != 1 || hits != 1 {
 		t.Errorf("LongestMatchEndingAt = (%d, %d, %v), want (1, 1, true)", start, hits, ok)
-	}
-}
-
-func TestLongestMatchConsistency(t *testing.T) {
-	// e(i) from LongestMatchFrom must agree with a naive scan.
-	rng := rand.New(rand.NewSource(5))
-	text := randSeq(rng, 600)
-	bd := BuildBidirectional(text)
-	for trial := 0; trial < 40; trial++ {
-		q := randSeq(rng, 25)
-		for i := range q {
-			end, _, ok := bd.LongestMatchFrom(q, i)
-			// Naive: extend while the substring occurs.
-			wantEnd, found := -1, false
-			for e := i; e < len(q); e++ {
-				if naiveCount(text, q[i:e+1]) > 0 {
-					wantEnd, found = e, true
-				} else {
-					break
-				}
-			}
-			if ok != found || (ok && end != wantEnd) {
-				t.Fatalf("LongestMatchFrom(%d) = (%d,%v), want (%d,%v)", i, end, ok, wantEnd, found)
-			}
-		}
 	}
 }
 

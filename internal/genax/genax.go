@@ -410,8 +410,8 @@ func (a *Accelerator) SeedTrace(reads []dna.Sequence, tb *trace.Buffer, base int
 				cursor += cyc
 			}
 		}
-		act.Reads = append(act.Reads, mergeSMEMs(fwd))
-		act.Rev = append(act.Rev, mergeSMEMs(rev))
+		act.Reads = append(act.Reads, smem.AppendMerged(nil, fwd))
+		act.Rev = append(act.Rev, smem.AppendMerged(nil, rev))
 		act.ReadBytes += int64((len(r)+3)/4) * nseg
 	}
 	for si, seg := range a.segments {
@@ -464,37 +464,6 @@ func (a *Accelerator) Reduce(acts ...*Activity) *Result {
 		res.ReadsPerMJ = float64(len(res.Reads)) / (j * 1e3)
 	}
 	return res
-}
-
-// mergeSMEMs merges per-segment SMEM sets (duplicates summed, contained
-// intervals dropped), as in core.MergeSMEMs.
-func mergeSMEMs(ms []smem.Match) []smem.Match {
-	if len(ms) == 0 {
-		return nil
-	}
-	smem.Sort(ms)
-	merged := ms[:0:0]
-	for _, m := range ms {
-		if n := len(merged); n > 0 && merged[n-1].Start == m.Start && merged[n-1].End == m.End {
-			merged[n-1].Hits += m.Hits
-			continue
-		}
-		merged = append(merged, m)
-	}
-	var out []smem.Match
-	for i, m := range merged {
-		contained := false
-		for j, o := range merged {
-			if i != j && o.Contains(m) && (o.Start != m.Start || o.End != m.End) {
-				contained = true
-				break
-			}
-		}
-		if !contained {
-			out = append(out, m)
-		}
-	}
-	return out
 }
 
 // LaneCycles converts lane activity into serialized per-lane cycles: each

@@ -5,27 +5,15 @@ import "casa/internal/metrics"
 // Engine is the metric-name prefix for the GenAx baseline.
 const Engine = "genax"
 
-// publishStats adds one lane-activity snapshot into the genax/* counters.
-func publishStats(reg *metrics.Registry, s Stats) {
-	reg.Counter("genax/lanes/fetches").Add(s.Fetches)
-	reg.Counter("genax/lanes/intersection_ops").Add(s.IntersectionOps)
-	reg.Counter("genax/smem/pivots").Add(s.Pivots)
-	reg.Counter("genax/smem/rmems").Add(s.RMEMs)
-	reg.Counter("genax/reads/seeded").Add(s.Reads)
-}
-
 // PublishMetrics adds this shard's additive activity counters into reg.
 // Shard registries merged in any order equal the sequential run's.
 func (act *Activity) PublishMetrics(reg *metrics.Registry) {
-	publishStats(reg, act.Stats)
+	reg.Counter("genax/lanes/fetches").Add(act.Stats.Fetches)
+	reg.Counter("genax/lanes/intersection_ops").Add(act.Stats.IntersectionOps)
+	reg.Counter("genax/smem/pivots").Add(act.Stats.Pivots)
+	reg.Counter("genax/smem/rmems").Add(act.Stats.RMEMs)
+	reg.Counter("genax/reads/seeded").Add(act.Stats.Reads)
 	reg.Counter("genax/dram/read_stream_bytes").Add(act.ReadBytes)
-}
-
-// PublishMetrics adds this segment's accumulated table counters into reg
-// — for direct (non-Accelerator) use of the seed & position tables, e.g.
-// as an SMEM finder. Call once per run per table instance.
-func (t *Tables) PublishMetrics(reg *metrics.Registry) {
-	publishStats(reg, t.Stats)
 }
 
 // PublishModelMetrics publishes the finalized model outputs of a reduced
@@ -37,13 +25,4 @@ func (res *Result) PublishModelMetrics(reg *metrics.Registry) {
 	reg.Gauge("genax/model/reads_per_mj").Set(res.ReadsPerMJ)
 	res.DRAM.PublishMetrics(reg, Engine)
 	res.Energy.PublishMetrics(reg, Engine)
-}
-
-// PublishMetrics publishes the aggregated lane counters and the model
-// outputs of a sequential (single-shard) run. The read-stream byte
-// counter is only available from per-shard activities and is not
-// re-published here.
-func (res *Result) PublishMetrics(reg *metrics.Registry) {
-	publishStats(reg, res.Stats)
-	res.PublishModelMetrics(reg)
 }

@@ -290,8 +290,8 @@ func (a *Accelerator) SeedTrace(reads []dna.Sequence, tb *trace.Buffer, base int
 			}
 		}
 
-		act.Reads = append(act.Reads, merge(strand[0]))
-		act.Rev = append(act.Rev, merge(strand[1]))
+		act.Reads = append(act.Reads, smem.AppendMerged(nil, strand[0]))
+		act.Rev = append(act.Rev, smem.AppendMerged(nil, strand[1]))
 		act.ReadBytes += int64((len(r) + 3) / 4)
 	}
 	a.rec = nil
@@ -417,37 +417,6 @@ func (a *Accelerator) fastSeed(seg *genax.Tables, read dna.Sequence) (hits int, 
 		return hits, true
 	}
 	return 0, false
-}
-
-// merge dedupes and containment-filters per-segment SMEMs (same policy
-// as the other partitioned engines).
-func merge(ms []smem.Match) []smem.Match {
-	if len(ms) == 0 {
-		return nil
-	}
-	smem.Sort(ms)
-	uniq := ms[:0:0]
-	for _, m := range ms {
-		if n := len(uniq); n > 0 && uniq[n-1].Start == m.Start && uniq[n-1].End == m.End {
-			uniq[n-1].Hits += m.Hits
-			continue
-		}
-		uniq = append(uniq, m)
-	}
-	var out []smem.Match
-	for i, m := range uniq {
-		contained := false
-		for j, o := range uniq {
-			if i != j && o.Contains(m) && (o.Start != m.Start || o.End != m.End) {
-				contained = true
-				break
-			}
-		}
-		if !contained {
-			out = append(out, m)
-		}
-	}
-	return out
 }
 
 func diffStats(after, before Stats) Stats {

@@ -5,20 +5,15 @@ import "casa/internal/metrics"
 // Engine is the metric-name prefix for the GenCache baseline.
 const Engine = "gencache"
 
-// publishStats adds the bypass/seeding counters into the gencache/*
-// counters. The cache fields are not published here: hit/miss counts are
-// only meaningful after the sequential replay in Reduce.
-func publishStats(reg *metrics.Registry, s Stats) {
-	reg.Counter("gencache/bypass/checks").Add(s.FastChecks)
-	reg.Counter("gencache/bypass/check_ops").Add(s.FastCheckOps)
-	reg.Counter("gencache/bypass/fast_seeded").Add(s.FastSeeded)
-	reg.Counter("gencache/smem/slow_seeded").Add(s.SlowSeeded)
-}
-
 // PublishMetrics adds this shard's additive activity counters into reg.
-// Shard registries merged in any order equal the sequential run's.
+// Shard registries merged in any order equal the sequential run's. The
+// cache hit/miss counts are not published here: they are only meaningful
+// after the sequential replay in Reduce (see PublishModelMetrics).
 func (act *Activity) PublishMetrics(reg *metrics.Registry) {
-	publishStats(reg, act.Stats)
+	reg.Counter("gencache/bypass/checks").Add(act.Stats.FastChecks)
+	reg.Counter("gencache/bypass/check_ops").Add(act.Stats.FastCheckOps)
+	reg.Counter("gencache/bypass/fast_seeded").Add(act.Stats.FastSeeded)
+	reg.Counter("gencache/smem/slow_seeded").Add(act.Stats.SlowSeeded)
 	reg.Counter("gencache/lanes/fetches").Add(act.GenAx.Fetches)
 	reg.Counter("gencache/lanes/intersection_ops").Add(act.GenAx.IntersectionOps)
 	reg.Counter("gencache/dram/read_stream_bytes").Add(act.ReadBytes)
@@ -36,15 +31,4 @@ func (res *Result) PublishModelMetrics(reg *metrics.Registry) {
 	reg.Gauge("gencache/model/reads_per_mj").Set(res.ReadsPerMJ)
 	res.DRAM.PublishMetrics(reg, Engine)
 	res.Energy.PublishMetrics(reg, Engine)
-}
-
-// PublishMetrics publishes the aggregated activity counters and the
-// model outputs of a sequential (single-shard) run. The read-stream byte
-// counter is only available from per-shard activities and is not
-// re-published here.
-func (res *Result) PublishMetrics(reg *metrics.Registry) {
-	publishStats(reg, res.Stats)
-	reg.Counter("gencache/lanes/fetches").Add(res.GenAx.Fetches)
-	reg.Counter("gencache/lanes/intersection_ops").Add(res.GenAx.IntersectionOps)
-	res.PublishModelMetrics(reg)
 }

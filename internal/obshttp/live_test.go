@@ -159,33 +159,3 @@ func TestEventsStreamEndsOnShutdown(t *testing.T) {
 		t.Fatal("shutdown hung on the open SSE stream")
 	}
 }
-
-// TestServerWatchdog arms the server-managed watchdog on a stalled
-// tracker and checks it fires, and that Shutdown stops it.
-func TestServerWatchdog(t *testing.T) {
-	s, err := Start("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := progress.New("rid", "casa", 1, 10)
-	s.SetProgress(tr)
-	s.StartWatchdog(20*time.Millisecond, nil)
-
-	s.mu.Lock()
-	wd := s.watchdog
-	s.mu.Unlock()
-	if wd == nil {
-		t.Fatal("watchdog not armed")
-	}
-	deadline := time.After(5 * time.Second)
-	for wd.Fired() == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("server watchdog never fired on a stalled run")
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-}

@@ -18,7 +18,6 @@ package obshttp
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"net"
 	"net/http"
 	"sync"
@@ -44,12 +43,6 @@ type Server struct {
 	tracker       *progress.Tracker
 	eventInterval time.Duration
 	err           error
-
-	watchdog *progress.Watchdog
-	// wdDeadline/wdLog hold a StartWatchdog request made before a tracker
-	// was attached; SetProgress arms it. wdDeadline > 0 marks it pending.
-	wdDeadline time.Duration
-	wdLog      *slog.Logger
 
 	quit chan struct{} // closed at Shutdown: unblocks long-lived SSE handlers
 	done chan struct{}
@@ -160,14 +153,12 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // SetProgress attaches the run's progress tracker, enabling /progress
-// and /events (without a tracker both endpoints return 503), and arms
-// any watchdog requested before the tracker existed. Call it before the
-// run starts.
+// and /events (without a tracker both endpoints return 503). Call it
+// before the run starts.
 func (s *Server) SetProgress(t *progress.Tracker) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tracker = t
-	s.armWatchdogLocked()
 }
 
 // SetEventInterval overrides the /events snapshot cadence (default 1s).
@@ -182,37 +173,6 @@ func (s *Server) SetEventInterval(d time.Duration) error {
 	s.eventInterval = d
 	s.mu.Unlock()
 	return nil
-}
-
-// StartWatchdog arms a stall watchdog on the attached tracker: when no
-// shard completes within deadline, it logs the per-worker last-known
-// state and a goroutine dump through log (nil means slog.Default), once
-// per stall episode. The watchdog stops at Shutdown. Called before a
-// tracker is attached, the request is remembered and armed by
-// SetProgress — flag-ordering in the CLIs must not silently disable the
-// watchdog. It is a no-op with a non-positive deadline, and at most one
-// watchdog is armed per server.
-func (s *Server) StartWatchdog(deadline time.Duration, log *slog.Logger) {
-	if deadline <= 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.watchdog != nil || s.wdDeadline > 0 {
-		return
-	}
-	s.wdDeadline, s.wdLog = deadline, log
-	s.armWatchdogLocked()
-}
-
-// armWatchdogLocked (caller holds s.mu) starts the pending watchdog once
-// both halves — a tracker and a StartWatchdog request — are present.
-func (s *Server) armWatchdogLocked() {
-	if s.tracker == nil || s.wdDeadline <= 0 || s.watchdog != nil {
-		return
-	}
-	s.watchdog = progress.NewWatchdog(s.tracker, s.wdDeadline, s.wdLog)
-	s.watchdog.Start()
 }
 
 // progressState reads the tracker and event interval under the lock.
@@ -288,22 +248,16 @@ func (s *Server) PublishTrace(spans []trace.Span) {
 
 // Shutdown gracefully drains in-flight requests and stops the server.
 // Long-lived /events streams are told to end first (graceful drain would
-// otherwise wait on them forever), and any armed or pending watchdog is
-// stopped. It returns the first background serve error, if any.
+// otherwise wait on them forever). It returns the first background serve
+// error, if any.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	wd := s.watchdog
-	s.watchdog = nil
-	s.wdDeadline = 0
 	select {
 	case <-s.quit:
 	default:
 		close(s.quit)
 	}
 	s.mu.Unlock()
-	if wd != nil {
-		wd.Stop()
-	}
 	err := s.srv.Shutdown(ctx)
 	<-s.done
 	s.mu.Lock()

@@ -1,4 +1,4 @@
-// Package shard composes any registered seeding engine into a sharded
+// Package shard composes any persisting seeding engine into a sharded
 // engine over a partitioned reference: the flat reference is split into
 // overlapping shards, one inner engine (index) is built — or loaded —
 // per shard, every read is seeded against every shard, and the per-read
@@ -9,7 +9,9 @@
 // independently persistable) shards, in the BioSEAL/PRinS spirit of
 // processing each partition where it lives. The paper's own accelerator
 // partitions internally for capacity (§4.1); sharding lifts the same
-// idea above the engine abstraction so every engine gets it.
+// idea above the engine abstraction so every persisting engine gets it,
+// and merges shards with the rule the accelerators merge partitions by
+// (smem.AppendMerged).
 //
 // # Geometry
 //
@@ -85,7 +87,6 @@ type Sharded struct {
 	inners []engine.Engine
 
 	// Per-clone scratch for the allocation-free per-read path.
-	seeders []engine.ReadSeeder
 	scratch engine.Seeds
 	candF   []smem.Match
 	candR   []smem.Match
@@ -146,18 +147,13 @@ func newSharded(f engine.Factory, ref dna.Sequence, opt engine.Options) (*Sharde
 	return s, nil
 }
 
-// finish computes the derived per-shard state (span names, the seeder
-// table) once the geometry and inner engines are in place.
+// finish computes the per-shard span names once the geometry and inner
+// engines are in place.
 func (s *Sharded) finish() {
 	s.names = s.names[:0]
 	for i := range s.starts {
 		s.names = append(s.names,
 			fmt.Sprintf("shard %d [%d,%d)", i, s.starts[i], s.starts[i]+s.lens[i]))
-	}
-	s.seeders = s.seeders[:0]
-	for _, inner := range s.inners {
-		rs, _ := inner.(engine.ReadSeeder)
-		s.seeders = append(s.seeders, rs)
 	}
 }
 
@@ -174,10 +170,6 @@ func (s *Sharded) Clone() engine.Engine {
 	}
 	for _, inner := range s.inners {
 		c.inners = append(c.inners, inner.Clone())
-	}
-	for _, inner := range c.inners {
-		rs, _ := inner.(engine.ReadSeeder)
-		c.seeders = append(c.seeders, rs)
 	}
 	return c
 }
@@ -286,32 +278,21 @@ func (s *Sharded) SMEMs(res engine.Result) [][]smem.Match {
 
 // mergeAppend merges the concatenated shard-local SMEM candidates of
 // one read (on one strand) into the flat engine's answer, appending to
-// dst: sort, sum hit counts of identical intervals, drop intervals
-// contained in an earlier (longer) one, and subtract each window's
-// direct occurrence count to undo pair double-counting. cand is
-// reordered in place. Allocation-free given capacity in dst.
+// dst: smem.AppendMerged sums identical intervals and drops contained
+// ones, then each survivor loses its occurrences inside every window to
+// undo pair double-counting. cand is reordered in place.
+// Allocation-free given capacity in dst.
 func (s *Sharded) mergeAppend(dst []smem.Match, cand []smem.Match, strand dna.Sequence) []smem.Match {
 	if len(s.inners) == 1 {
 		return append(dst, cand...)
 	}
-	smem.SortCover(cand)
-	maxEnd := -1
-	for i := 0; i < len(cand); {
-		m := cand[i]
-		i++
-		for i < len(cand) && cand[i].Start == m.Start && cand[i].End == m.End {
-			m.Hits += cand[i].Hits
-			i++
-		}
-		if m.End <= maxEnd {
-			continue // strictly contained in an earlier interval
-		}
-		maxEnd = m.End
-		pat := strand[m.Start : m.End+1]
+	n := len(dst)
+	dst = smem.AppendMerged(dst, cand)
+	for i := n; i < len(dst); i++ {
+		pat := strand[dst[i].Start : dst[i].End+1]
 		for _, w := range s.windows {
-			m.Hits -= countOccurrences(w, pat)
+			dst[i].Hits -= countOccurrences(w, pat)
 		}
-		dst = append(dst, m)
 	}
 	return dst
 }
@@ -333,22 +314,17 @@ scan:
 	return n
 }
 
-// SeedReadInto implements engine.ReadSeeder when every inner engine
-// does: each shard seeds into shared scratch and the candidates merge
-// into dst. Any inner without the capability (or refusing dynamically)
-// makes the whole composite refuse, leaving dst untouched.
+// SeedReadInto implements engine.ReadSeeder: each shard seeds into
+// shared scratch and the candidates merge into dst. Composites wrap only
+// persisting engines, and every one of those seeds allocation-free; an
+// inner refusing makes the whole composite refuse, leaving dst untouched.
 func (s *Sharded) SeedReadInto(dst *engine.Seeds, read dna.Sequence) bool {
-	for _, rs := range s.seeders {
-		if rs == nil {
-			return false
-		}
-	}
 	s.candF = s.candF[:0]
 	s.candR = s.candR[:0]
-	for _, rs := range s.seeders {
+	for _, inner := range s.inners {
 		s.scratch.Forward = s.scratch.Forward[:0]
 		s.scratch.Reverse = s.scratch.Reverse[:0]
-		if !rs.SeedReadInto(&s.scratch, read) {
+		if !inner.(engine.ReadSeeder).SeedReadInto(&s.scratch, read) {
 			return false
 		}
 		s.candF = append(s.candF, s.scratch.Forward...)

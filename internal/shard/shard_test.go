@@ -33,36 +33,42 @@ func seedAll(t *testing.T, e engine.Engine, reads []dna.Sequence) [][]smem.Match
 }
 
 // TestShardedMatchesFlat pins the acceptance criterion: for every
-// engine, the sharded composite's per-read SMEM sets are bit-identical
-// to the flat engine's at shard counts 1, 2 and 5 (Exact mode, where
-// the inner engines' outputs are defined to be the exact SMEM sets).
+// registered composite, the per-read SMEM sets are bit-identical to its
+// flat inner engine's at shard counts 1, 2 and 5 (Exact mode, where the
+// inner engines' outputs are defined to be the exact SMEM sets).
 func TestShardedMatchesFlat(t *testing.T) {
 	ref, reads := testWorkload(t, 1<<14, 24)
+	var composites int
 	for _, f := range engine.List() {
-		if f.Golden || len(f.Name) >= 8 && f.Name[:8] == "sharded:" {
+		inner, ok := strings.CutPrefix(f.Name, "sharded:")
+		if !ok {
 			continue
 		}
+		composites++
 		opt := engine.Options{MinSMEM: 19, TableK: 8, Exact: true}
-		flat, err := engine.New(f.Name, ref, opt)
+		flat, err := engine.New(inner, ref, opt)
 		if err != nil {
-			t.Fatalf("%s: %v", f.Name, err)
+			t.Fatalf("%s: %v", inner, err)
 		}
 		want := seedAll(t, flat, reads)
 		for _, shards := range []int{1, 2, 5} {
 			sopt := opt
 			sopt.Shards = shards
-			sharded, err := engine.New("sharded:"+f.Name, ref, sopt)
+			sharded, err := engine.New(f.Name, ref, sopt)
 			if err != nil {
-				t.Fatalf("sharded:%s shards=%d: %v", f.Name, shards, err)
+				t.Fatalf("%s shards=%d: %v", f.Name, shards, err)
 			}
 			got := seedAll(t, sharded, reads)
 			for i := range reads {
 				if !smem.Equal(want[i], got[i]) {
-					t.Fatalf("sharded:%s shards=%d read %d:\nflat    %v\nsharded %v",
+					t.Fatalf("%s shards=%d read %d:\nflat    %v\nsharded %v",
 						f.Name, shards, i, want[i], got[i])
 				}
 			}
 		}
+	}
+	if composites != 3 {
+		t.Fatalf("%d sharded composites registered, want 3 (casa, cpu, fmindex)", composites)
 	}
 }
 
@@ -116,27 +122,6 @@ func TestShardedSeedReadIntoMatchesReduce(t *testing.T) {
 				t.Fatalf("%s read %d:\nreduce %v\nhot    %v", name, i, want[i], seeds.Forward)
 			}
 		}
-	}
-}
-
-// The brute-backed composite must refuse the hot path (brute allocates
-// by design) without touching dst.
-func TestShardedSeedReadIntoRefusal(t *testing.T) {
-	ref, reads := testWorkload(t, 1<<12, 2)
-	e, err := engine.New("sharded:brute", ref, engine.Options{MinSMEM: 19})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, ok := e.(engine.ReadSeeder)
-	if !ok {
-		t.Fatal("sharded engines expose ReadSeeder unconditionally")
-	}
-	seeds := engine.Seeds{Forward: []smem.Match{{Start: 1, End: 2, Hits: 3}}}
-	if rs.SeedReadInto(&seeds, reads[0]) {
-		t.Fatal("sharded:brute accepted the hot path")
-	}
-	if len(seeds.Forward) != 1 || seeds.Forward[0].Hits != 3 {
-		t.Fatal("refusal mutated dst")
 	}
 }
 

@@ -1,17 +1,17 @@
-// Package smem defines maximal exact matches (MEMs), super-maximal exact
-// matches (SMEMs) and right-maximal exact matches (RMEMs) over a read and a
-// reference (§2.1 of the paper), and provides three independent SMEM
-// finders used to cross-validate each other and the CASA simulator:
+// Package smem defines maximal exact matches (MEMs) and super-maximal
+// exact matches (SMEMs) over a read and a reference (§2.1 of the paper),
+// the one rule every partitioned engine uses to merge per-partition SMEM
+// sets (AppendMerged), and two independent SMEM finders:
 //
 //   - BruteForce: definition-based golden model (trusted by construction).
 //   - Bidirectional: BWA-MEM2-style search (forward search + backward
 //     maximal extension, Fig 1(a)).
-//   - Unidirectional: GenAx-style search (right-maximal match per pivot,
-//     containment filtering, Fig 1(b)).
 //
-// All three produce identical SMEM sets; the property tests assert this,
-// mirroring the paper's validation that "CASA produces identical SMEMs to
-// GenAx and 100% SMEMs of BWA-MEM2 are contained" (§6).
+// The GenAx-style unidirectional search (right-maximal match per pivot,
+// containment filtering, Fig 1(b)) is the genax engine. The registry
+// conformance suite checks every engine, both finders included, against
+// BruteForce, mirroring the paper's validation that "CASA produces
+// identical SMEMs to GenAx and 100% SMEMs of BWA-MEM2 are contained" (§6).
 package smem
 
 import (
@@ -75,7 +75,7 @@ func Sort(ms []Match) {
 // SortCover orders matches in cover order: start ascending, end descending.
 // In this order a match is contained in another candidate exactly when some
 // earlier entry's end reaches its end, so containment filtering becomes one
-// linear scan with a running maximum (see dedupAppend).
+// linear scan with a running maximum (see AppendMerged and dedupAppend).
 func SortCover(ms []Match) {
 	if len(ms) > sortInline {
 		slices.SortFunc(ms, func(a, b Match) int {
@@ -95,6 +95,41 @@ func SortCover(ms []Match) {
 		}
 		ms[j+1] = m
 	}
+}
+
+// AppendMerged merges the SMEM candidates one read strand collected from
+// several partitions (or segments, or shards) and appends the survivors
+// to dst: identical intervals have their hits summed — the same match
+// found in the overlap of two partitions — and intervals contained in
+// another are dropped. With a partition overlap of at least the read
+// length, the result equals the whole-reference SMEM set (§4.1).
+//
+// cands is reordered and compacted in place. After the cover-order sort
+// identical intervals are adjacent, and an interval is strictly contained
+// in another exactly when an earlier entry's end reaches its end, so one
+// linear scan with a running maximum replaces the quadratic pairwise
+// check. Survivors have strictly increasing starts and ends, i.e. they
+// are appended in canonical Sort order. AppendMerged allocates nothing
+// when dst has capacity; empty cands return dst unchanged.
+func AppendMerged(dst, cands []Match) []Match {
+	SortCover(cands)
+	w := 0
+	for _, m := range cands {
+		if w > 0 && cands[w-1].Start == m.Start && cands[w-1].End == m.End {
+			cands[w-1].Hits += m.Hits
+			continue
+		}
+		cands[w] = m
+		w++
+	}
+	maxEnd := -1
+	for _, m := range cands[:w] {
+		if m.End > maxEnd {
+			maxEnd = m.End
+			dst = append(dst, m)
+		}
+	}
+	return dst
 }
 
 // Retain copies a scratch-backed match set into an exactly sized fresh
@@ -481,62 +516,6 @@ func (f *Bidirectional) PublishMetrics(reg *metrics.Registry) {
 // FM-index extension steps — the per-read span duration the traced batch
 // runner records for finder-backed engines.
 func (f *Bidirectional) SeedCost() int64 { return int64(f.Steps) }
-
-// Unidirectional finds SMEMs with the GenAx strategy: for every pivot, the
-// right-maximal exact match (RMEM); SMEMs are the RMEMs not contained in an
-// earlier, longer RMEM. Because e(i) is non-decreasing in i, containment
-// reduces to e(i) > e(i-1).
-type Unidirectional struct {
-	Index *fmindex.Bidirectional
-
-	// Pivots counts pivots whose RMEM search actually ran in the last call;
-	// Fig 15's "naive" bar counts every read position here.
-	Pivots int
-}
-
-// NewUnidirectional builds the finder over ref.
-func NewUnidirectional(ref dna.Sequence) *Unidirectional {
-	return &Unidirectional{Index: fmindex.BuildBidirectional(ref)}
-}
-
-// Clone returns a finder sharing the FM-indexes with its own Pivots
-// counter, so clones can search concurrently.
-func (f *Unidirectional) Clone() *Unidirectional {
-	return &Unidirectional{Index: f.Index}
-}
-
-// SeedCost returns the modelled cost of the most recent FindSMEMs call in
-// RMEM pivot searches, for the traced batch runner.
-func (f *Unidirectional) SeedCost() int64 { return int64(f.Pivots) }
-
-// FindSMEMs implements Finder.
-func (f *Unidirectional) FindSMEMs(read dna.Sequence, minLen int) []Match {
-	return f.AppendSMEMs(nil, read, minLen)
-}
-
-// AppendSMEMs appends the SMEMs of read to dst and returns the extended
-// slice; it allocates nothing beyond growing dst. Candidates arrive in
-// pivot order with strictly increasing ends, so they are already canonical
-// and the length filter can run inline.
-func (f *Unidirectional) AppendSMEMs(dst []Match, read dna.Sequence, minLen int) []Match {
-	f.Pivots = 0
-	prevEnd := -1
-	for i := 0; i < len(read); i++ {
-		f.Pivots++
-		end, hits, ok := f.Index.LongestMatchFrom(read, i)
-		if !ok {
-			continue
-		}
-		if end > prevEnd {
-			// Not contained in the previous RMEM: it is an SMEM candidate.
-			if end-i+1 >= minLen {
-				dst = append(dst, Match{Start: i, End: end, Hits: hits})
-			}
-			prevEnd = end
-		}
-	}
-	return dst
-}
 
 // dedupAppend canonicalizes cands in place — cover-order sort, exact
 // duplicates and contained candidates dropped, minimum length applied last

@@ -127,7 +127,6 @@ func TestFindersAgreeOnRandomInputs(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		ref := randSeq(rng, 300+rng.Intn(500))
 		bi := NewBidirectional(ref)
-		uni := NewUnidirectional(ref)
 		bf := BruteForce{Ref: ref}
 		for r := 0; r < 8; r++ {
 			var read dna.Sequence
@@ -138,15 +137,9 @@ func TestFindersAgreeOnRandomInputs(t *testing.T) {
 			}
 			for _, minLen := range []int{1, 10, 19} {
 				want := bf.FindSMEMs(read, minLen)
-				gotBi := bi.FindSMEMs(read, minLen)
-				gotUni := uni.FindSMEMs(read, minLen)
-				if !Equal(want, gotBi) {
+				if got := bi.FindSMEMs(read, minLen); !Equal(want, got) {
 					t.Fatalf("trial %d minLen %d: bidirectional\n got %v\nwant %v\nread %s\nref %s",
-						trial, minLen, gotBi, want, read, ref)
-				}
-				if !Equal(want, gotUni) {
-					t.Fatalf("trial %d minLen %d: unidirectional\n got %v\nwant %v\nread %s\nref %s",
-						trial, minLen, gotUni, want, read, ref)
+						trial, minLen, got, want, read, ref)
 				}
 			}
 		}
@@ -166,7 +159,6 @@ func TestFindersAgreeOnRepetitiveReference(t *testing.T) {
 		}
 	}
 	bi := NewBidirectional(ref)
-	uni := NewUnidirectional(ref)
 	bf := BruteForce{Ref: ref}
 	for r := 0; r < 10; r++ {
 		read := plantedRead(rng, ref, 60, 2+rng.Intn(4))
@@ -174,19 +166,16 @@ func TestFindersAgreeOnRepetitiveReference(t *testing.T) {
 		if got := bi.FindSMEMs(read, 10); !Equal(want, got) {
 			t.Fatalf("bidirectional: got %v want %v", got, want)
 		}
-		if got := uni.FindSMEMs(read, 10); !Equal(want, got) {
-			t.Fatalf("unidirectional: got %v want %v", got, want)
-		}
 	}
 }
 
 func TestSMEMsNeverNested(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	ref := randSeq(rng, 1000)
-	uni := NewUnidirectional(ref)
+	bi := NewBidirectional(ref)
 	for r := 0; r < 30; r++ {
 		read := plantedRead(rng, ref, 101, rng.Intn(6))
-		smems := uni.FindSMEMs(read, 1)
+		smems := bi.FindSMEMs(read, 1)
 		for i, m := range smems {
 			for j, o := range smems {
 				if i != j && o.Contains(m) {
@@ -200,17 +189,6 @@ func TestSMEMsNeverNested(t *testing.T) {
 				t.Fatalf("SMEMs not strictly increasing: %v", smems)
 			}
 		}
-	}
-}
-
-func TestUnidirectionalPivotCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	ref := randSeq(rng, 500)
-	uni := NewUnidirectional(ref)
-	read := plantedRead(rng, ref, 80, 2)
-	uni.FindSMEMs(read, 19)
-	if uni.Pivots != len(read) {
-		t.Errorf("naive unidirectional must visit every pivot: %d != %d", uni.Pivots, len(read))
 	}
 }
 

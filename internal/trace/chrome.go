@@ -70,31 +70,12 @@ func WriteChrome(w io.Writer, spans []Span) error {
 }
 
 func buildChromeEvents(spans []Span) []chromeEvent {
-	// Assign pids to procs and tids to tracks, both in sorted order.
-	procs := map[string]int{}
-	tracks := map[string]map[string]int{}
-	for _, s := range spans {
-		if _, ok := procs[s.Proc]; !ok {
-			procs[s.Proc] = 0
-			tracks[s.Proc] = map[string]int{}
-		}
-		tracks[s.Proc][s.Track] = 0
-	}
-	procNames := sortedKeys(procs)
-	for i, p := range procNames {
-		procs[p] = i + 1
-		trackNames := sortedKeys(tracks[p])
-		for j, t := range trackNames {
-			tracks[p][t] = j + 1
-		}
-	}
+	ids, events := layoutChrome(len(spans), func(i int) (string, string) {
+		return spans[i].Proc, spans[i].Track
+	})
 
 	// Per-process read base offsets: reads are laid out back to back in
 	// index order, each occupying its read-local timeline length.
-	base := map[string]map[int32]int64{}
-	for _, p := range procNames {
-		base[p] = map[int32]int64{}
-	}
 	ends := map[string]map[int32]int64{}
 	for _, s := range spans {
 		if s.Read == SystemRead {
@@ -107,12 +88,14 @@ func buildChromeEvents(spans []Span) []chromeEvent {
 			ends[s.Proc][s.Read] = e
 		}
 	}
+	base := map[string]map[int32]int64{}
 	for p, perRead := range ends {
 		reads := make([]int32, 0, len(perRead))
 		for r := range perRead {
 			reads = append(reads, r)
 		}
 		sort.Slice(reads, func(i, j int) bool { return reads[i] < reads[j] })
+		base[p] = map[int32]int64{}
 		var cursor int64
 		for _, r := range reads {
 			base[p][r] = cursor
@@ -120,19 +103,6 @@ func buildChromeEvents(spans []Span) []chromeEvent {
 		}
 	}
 
-	events := make([]chromeEvent, 0, len(spans)+2*len(procNames))
-	for _, p := range procNames {
-		events = append(events, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: procs[p],
-			Args: &chromeArgs{Name: p},
-		})
-		for _, t := range sortedKeys(tracks[p]) {
-			events = append(events, chromeEvent{
-				Name: "thread_name", Ph: "M", Pid: procs[p], Tid: tracks[p][t],
-				Args: &chromeArgs{Name: t},
-			})
-		}
-	}
 	for _, s := range spans {
 		s := s
 		ts := s.Start
@@ -142,10 +112,7 @@ func buildChromeEvents(spans []Span) []chromeEvent {
 			r := int(s.Read)
 			args.Read = &r
 		}
-		events = append(events, chromeEvent{
-			Name: s.Name, Cat: s.Track, Ph: "X", Ts: ts, Dur: &s.Dur,
-			Pid: procs[s.Proc], Tid: tracks[s.Proc][s.Track], Args: args,
-		})
+		events = append(events, ids.event(s.Proc, s.Track, s.Name, ts, &s.Dur, args))
 	}
 	return events
 }
@@ -162,10 +129,72 @@ func ParseChrome(data []byte) ([]Span, error) {
 	if doc.OtherData.Schema != SchemaVersion {
 		return nil, fmt.Errorf("trace: chrome schema %q, want %q", doc.OtherData.Schema, SchemaVersion)
 	}
+	var spans []Span
+	err := parseChromeEvents(doc.TraceEvents, func(proc, track string, ev chromeEvent, dur int64) {
+		s := Span{Proc: proc, Track: track, Name: ev.Name, Read: SystemRead, Start: ev.Ts, Dur: dur}
+		if ev.Args != nil && ev.Args.Read != nil {
+			s.Read = int32(*ev.Args.Read)
+		}
+		spans = append(spans, s)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
+	}
+	return spans, nil
+}
+
+// chromeIDs maps each proc to its trace_event pid and each (proc, track)
+// pair to its tid. Both Chrome exports — cycle and wall domain — share
+// this layout.
+type chromeIDs struct {
+	pid map[string]int
+	tid map[string]map[string]int
+}
+
+// layoutChrome assigns pids to the n spans' procs and tids to each
+// proc's tracks, both in sorted order from 1, and returns the ids with
+// the process_name/thread_name metadata events that lead every export
+// (procs sorted, each followed by its sorted tracks). pt returns span
+// i's proc and track.
+func layoutChrome(n int, pt func(i int) (proc, track string)) (chromeIDs, []chromeEvent) {
+	ids := chromeIDs{pid: map[string]int{}, tid: map[string]map[string]int{}}
+	for i := 0; i < n; i++ {
+		p, t := pt(i)
+		if ids.tid[p] == nil {
+			ids.tid[p] = map[string]int{}
+		}
+		ids.tid[p][t] = 0
+	}
+	procs := sortedKeys(ids.tid)
+	events := make([]chromeEvent, 0, n+2*len(procs))
+	for i, p := range procs {
+		pid := i + 1
+		ids.pid[p] = pid
+		events = append(events, chromeEvent{Name: "process_name", Ph: "M", Pid: pid, Args: &chromeArgs{Name: p}})
+		for j, t := range sortedKeys(ids.tid[p]) {
+			ids.tid[p][t] = j + 1
+			events = append(events, chromeEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: j + 1, Args: &chromeArgs{Name: t}})
+		}
+	}
+	return ids, events
+}
+
+// event builds one complete ("X") span event on proc's track.
+func (ids chromeIDs) event(proc, track, name string, ts int64, dur *int64, args *chromeArgs) chromeEvent {
+	return chromeEvent{
+		Name: name, Cat: track, Ph: "X", Ts: ts, Dur: dur,
+		Pid: ids.pid[proc], Tid: ids.tid[proc][track], Args: args,
+	}
+}
+
+// parseChromeEvents resolves the complete ("X") events of a Chrome
+// document against its process_name/thread_name metadata and hands each
+// to emit in document order, with its proc, track and duration (0 when
+// absent). An event whose pid/tid has no metadata is an error.
+func parseChromeEvents(events []chromeEvent, emit func(proc, track string, ev chromeEvent, dur int64)) error {
 	procOf := map[int]string{}
 	trackOf := map[[2]int]string{}
-	var spans []Span
-	for _, ev := range doc.TraceEvents {
+	for _, ev := range events {
 		switch ev.Ph {
 		case "M":
 			if ev.Args == nil {
@@ -178,26 +207,18 @@ func ParseChrome(data []byte) ([]Span, error) {
 				trackOf[[2]int{ev.Pid, ev.Tid}] = ev.Args.Name
 			}
 		case "X":
-			s := Span{
-				Proc:  procOf[ev.Pid],
-				Track: trackOf[[2]int{ev.Pid, ev.Tid}],
-				Name:  ev.Name,
-				Read:  SystemRead,
-				Start: ev.Ts,
+			proc, track := procOf[ev.Pid], trackOf[[2]int{ev.Pid, ev.Tid}]
+			if proc == "" || track == "" {
+				return fmt.Errorf("event %q references pid %d / tid %d with no metadata", ev.Name, ev.Pid, ev.Tid)
 			}
+			var dur int64
 			if ev.Dur != nil {
-				s.Dur = *ev.Dur
+				dur = *ev.Dur
 			}
-			if ev.Args != nil && ev.Args.Read != nil {
-				s.Read = int32(*ev.Args.Read)
-			}
-			if s.Proc == "" || s.Track == "" {
-				return nil, fmt.Errorf("trace: event %q references pid %d / tid %d with no metadata", ev.Name, ev.Pid, ev.Tid)
-			}
-			spans = append(spans, s)
+			emit(proc, track, ev, dur)
 		}
 	}
-	return spans, nil
+	return nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {

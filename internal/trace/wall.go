@@ -190,50 +190,18 @@ type chromeWallOtherData struct {
 // recorder's eviction count (WallTrace.Dropped). Output is deterministic
 // for a given span stream.
 func WriteChromeWall(w io.Writer, spans []WallSpan, dropped int64) error {
-	procs := map[string]int{}
-	tracks := map[string]map[string]int{}
-	for _, s := range spans {
-		if _, ok := procs[s.Proc]; !ok {
-			procs[s.Proc] = 0
-			tracks[s.Proc] = map[string]int{}
-		}
-		tracks[s.Proc][s.Track] = 0
-	}
-	procNames := sortedKeys(procs)
-	for i, p := range procNames {
-		procs[p] = i + 1
-		for j, t := range sortedKeys(tracks[p]) {
-			tracks[p][t] = j + 1
-		}
-	}
-
+	ids, events := layoutChrome(len(spans), func(i int) (string, string) {
+		return spans[i].Proc, spans[i].Track
+	})
 	var epoch int64
 	for i, s := range spans {
 		if i == 0 || s.Start < epoch {
 			epoch = s.Start
 		}
 	}
-
-	events := make([]chromeEvent, 0, len(spans)+2*len(procNames))
-	for _, p := range procNames {
-		events = append(events, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: procs[p],
-			Args: &chromeArgs{Name: p},
-		})
-		for _, t := range sortedKeys(tracks[p]) {
-			events = append(events, chromeEvent{
-				Name: "thread_name", Ph: "M", Pid: procs[p], Tid: tracks[p][t],
-				Args: &chromeArgs{Name: t},
-			})
-		}
-	}
 	for _, s := range spans {
 		s := s
-		events = append(events, chromeEvent{
-			Name: s.Name, Cat: s.Track, Ph: "X", Ts: s.Start - epoch, Dur: &s.Dur,
-			Pid: procs[s.Proc], Tid: tracks[s.Proc][s.Track],
-			Args: &chromeArgs{RunID: s.Name},
-		})
+		events = append(events, ids.event(s.Proc, s.Track, s.Name, s.Start-epoch, &s.Dur, &chromeArgs{RunID: s.Name}))
 	}
 
 	doc := chromeWallDoc{

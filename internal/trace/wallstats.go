@@ -175,36 +175,12 @@ func ParseChromeWall(data []byte) ([]WallSpan, int64, error) {
 	if doc.OtherData.Schema != WallSchemaVersion {
 		return nil, 0, fmt.Errorf("trace: wall chrome schema %q, want %q", doc.OtherData.Schema, WallSchemaVersion)
 	}
-	procOf := map[int]string{}
-	trackOf := map[[2]int]string{}
 	var spans []WallSpan
-	for _, ev := range doc.TraceEvents {
-		switch ev.Ph {
-		case "M":
-			if ev.Args == nil {
-				continue
-			}
-			switch ev.Name {
-			case "process_name":
-				procOf[ev.Pid] = ev.Args.Name
-			case "thread_name":
-				trackOf[[2]int{ev.Pid, ev.Tid}] = ev.Args.Name
-			}
-		case "X":
-			s := WallSpan{
-				Proc:  procOf[ev.Pid],
-				Track: trackOf[[2]int{ev.Pid, ev.Tid}],
-				Name:  ev.Name,
-				Start: ev.Ts,
-			}
-			if ev.Dur != nil {
-				s.Dur = *ev.Dur
-			}
-			if s.Proc == "" || s.Track == "" {
-				return nil, 0, fmt.Errorf("trace: wall event %q references pid %d / tid %d with no metadata", ev.Name, ev.Pid, ev.Tid)
-			}
-			spans = append(spans, s)
-		}
+	err := parseChromeEvents(doc.TraceEvents, func(proc, track string, ev chromeEvent, dur int64) {
+		spans = append(spans, WallSpan{Proc: proc, Track: track, Name: ev.Name, Start: ev.Ts, Dur: dur})
+	})
+	if err != nil {
+		return nil, 0, fmt.Errorf("trace: wall %w", err)
 	}
 	return spans, doc.OtherData.Dropped, nil
 }
