@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover lint bench bench-quick bench-baseline bench-all bench-kernels fuzz live-smoke serve-smoke walltrace-smoke index-smoke experiments ablations examples clean
+.PHONY: all build test race cover lint bench bench-quick bench-baseline bench-all bench-kernels bench-sweep fuzz live-smoke serve-smoke walltrace-smoke index-smoke experiments ablations examples clean
 
 all: build test lint
 
@@ -63,6 +63,14 @@ bench-all:
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'BandedFit|ExtendRead|EditDistance' -benchmem ./internal/align/ ./internal/seedex/
 
+# Host seeding throughput of one generated read set (4 Mbp genome, 10^4
+# reads at 2% error, casa engine on one worker) at 1, 2, 8 and 32
+# reference partitions; bench/TRAJECTORY.md records the curve. CI runs
+# it with SWEEP_BENCHTIME=1x as a smoke.
+SWEEP_BENCHTIME ?= 3x
+bench-sweep:
+	$(GO) test -run '^$$' -bench BenchmarkSeedPartitions -benchtime=$(SWEEP_BENCHTIME) .
+
 # Every Fuzz* target in the module, in the same order as CI's fuzz-smoke job.
 fuzz:
 	$(GO) test ./internal/dna/ -fuzz FuzzDNARoundTrip -fuzztime 15s
@@ -74,6 +82,7 @@ fuzz:
 	$(GO) test ./internal/idxio/ -fuzz FuzzIndexCorrupted -fuzztime 15s
 	$(GO) test ./internal/engine/ -fuzz FuzzLoadCASAIndex -fuzztime 15s
 	$(GO) test ./internal/align/ -fuzz FuzzBandedFit -fuzztime 15s
+	$(GO) test ./internal/core/ -fuzz FuzzSweepMatchesOracle -fuzztime 15s
 
 # Live-telemetry smoke: a race-built casa-smem run observed mid-flight
 # through /progress and /events, then interrupted (see the script).

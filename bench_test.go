@@ -10,13 +10,19 @@
 package casa_test
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"casa"
+	"casa/internal/batch"
+	"casa/internal/core"
+	"casa/internal/dna"
+	"casa/internal/engine"
 	"casa/internal/experiments"
 	"casa/internal/gencache"
+	"casa/internal/readsim"
 )
 
 var (
@@ -397,4 +403,44 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf[i:])
+}
+
+// Partition sweep workload: a 4 Mbp generated genome and 10^4 reads of
+// 101 bp at 2% sequencing error (the smem-casa error rate), shared by
+// every partition count.
+var (
+	sweepOnce  sync.Once
+	sweepRef   dna.Sequence
+	sweepReads []dna.Sequence
+)
+
+// BenchmarkSeedPartitions seeds one read set with the casa engine on one
+// worker at 1, 2, 8 and 32 reference partitions and reports host reads/s.
+// The modelled hardware sweeps every partition, so its cost grows with
+// the count; the host searches the reference-wide filter once per pivot,
+// so its curve should stay nearly flat.
+func BenchmarkSeedPartitions(b *testing.B) {
+	sweepOnce.Do(func() {
+		sweepRef = readsim.GenerateReference(readsim.DefaultGenome(4<<20, 16))
+		sweepReads = readsim.Sequences(readsim.Simulate(sweepRef, readsim.ReadProfile{
+			Length: 101, Count: 10000, Seed: 16, MutRate: 0.001, ErrRate: 0.02, RevComp: true,
+		}))
+	})
+	for _, parts := range []int{1, 2, 8, 32} {
+		b.Run(fmt.Sprintf("partitions=%d", parts), func(b *testing.B) {
+			size := (len(sweepRef)-core.DefaultPartitionOverlap)/parts + core.DefaultPartitionOverlap + 1
+			e, err := engine.New("casa", sweepRef, engine.Options{MinSMEM: 19, Partition: size})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if got := e.(engine.Unwrapper).Unwrap().(*core.Accelerator).Partitions(); got != parts {
+				b.Fatalf("%d partitions, want %d", got, parts)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				batch.SeedEngine(e, sweepReads, batch.Options{Workers: 1})
+			}
+			b.ReportMetric(float64(b.N*len(sweepReads))/b.Elapsed().Seconds(), "reads/s")
+		})
+	}
 }

@@ -170,7 +170,7 @@ func TestCAMStrideSearchReplaysRMEM(t *testing.T) {
 				continue
 			}
 			// Behavioural result.
-			m, ok := p.rmemSearch(read, pivot, kmer, ind)
+			m, ok := p.rmemSearch(&p.Stats, read, pivot, p.Filter().Positions(kmer), ind)
 			if !ok {
 				continue
 			}

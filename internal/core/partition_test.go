@@ -312,8 +312,7 @@ func TestRollingKmers(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	read := randSeq(rng, 60)
 	for _, k := range []int{1, 7, 19, 31} {
-		p := &Partition{cfg: Config{K: k}}
-		got := p.rollingKmersInto(read)
+		got := rollingKmers(nil, read, k)
 		if len(got) != len(read)-k+1 {
 			t.Fatalf("k=%d: %d kmers", k, len(got))
 		}
@@ -324,7 +323,7 @@ func TestRollingKmers(t *testing.T) {
 		}
 		// Scratch reuse must not leak stale entries into a shorter read.
 		short := randSeq(rng, k+3)
-		again := p.rollingKmersInto(short)
+		again := rollingKmers(got, short, k)
 		if len(again) != 4 {
 			t.Fatalf("k=%d reuse: %d kmers", k, len(again))
 		}
@@ -334,7 +333,7 @@ func TestRollingKmers(t *testing.T) {
 			}
 		}
 	}
-	if (&Partition{cfg: Config{K: 7}}).rollingKmersInto(randSeq(rng, 5)) != nil {
+	if len(rollingKmers(nil, randSeq(rng, 5), 7)) != 0 {
 		t.Error("short read must yield no kmers")
 	}
 }

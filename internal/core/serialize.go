@@ -21,8 +21,8 @@ import (
 //	casa/positions  each partition's k-mer occurrence positions in
 //	                (k-mer, position) order, concatenated (idxio.WriteInt32s)
 //
-// LoadIndex reruns NewWithOverlap's partition-span loop and hands each
-// partition's positions to newFilter, the constructor BuildFilter calls
+// LoadIndex reruns NewWithOverlap's partition-span loop and hands the
+// partitions' positions to newRefFilter, the constructor building calls
 // after its sort, so build and load differ only by the sort and no
 // second decoder has to track the filter layout. Checksums and lengths
 // are the container's job; this layer validates structure.
@@ -54,8 +54,8 @@ func (a *Accelerator) SaveIndex(w *idxio.Writer) error {
 		return err
 	}
 	return w.Section(positionsSection, func(sw io.Writer) error {
-		for _, p := range a.parts {
-			if err := idxio.WriteInt32s(sw, p.filter.positions); err != nil {
+		for _, pos := range a.idx.partPositions() {
+			if err := idxio.WriteInt32s(sw, pos); err != nil {
 				return err
 			}
 		}
@@ -101,19 +101,21 @@ func LoadIndex(r *idxio.Reader) (*Accelerator, error) {
 		return nil, sectionError(refSection, err)
 	}
 
+	// The mini index is sized by the config alone; bound it by what the
+	// index stores before allocating it.
+	if err := checkMiniIndex(sc.Config, storedPositions(len(ref), sc.Config, sc.Overlap)); err != nil {
+		return nil, sectionError(configSection, err)
+	}
+
 	if sec, err = r.Section(positionsSection); err != nil {
 		return nil, err
 	}
-	a, err := partitioned(ref, sc.Config, sc.Overlap, func(i int, part *dna.PackedSeq) (*Filter, error) {
+	a, err := partitioned(ref, sc.Config, sc.Overlap, func(i int, part *dna.PackedSeq) ([]int32, error) {
 		positions, err := idxio.ReadInt32s(sec, kmerStarts(part, sc.Config))
-		var f *Filter
-		if err == nil {
-			f, err = newFilter(sc.Config, positions, part)
-		}
 		if err != nil {
 			return nil, fmt.Errorf("partition %d: %w", i, err)
 		}
-		return f, nil
+		return positions, nil
 	})
 	if err == nil {
 		err = expectEnd(sec)

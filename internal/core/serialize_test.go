@@ -116,56 +116,86 @@ func TestIndexRoundTripDefaultGeometry(t *testing.T) {
 	}
 }
 
-// buildFilterOracle is the filter construction as it stood before build
-// and load shared newFilter: one sort of packed (k-mer, position) keys,
-// then every array appended in a single pass over them.
-func buildFilterOracle(part dna.Sequence, cfg Config) *Filter {
+// oracleFilter is one partition's filter as it was stored before the
+// partitions shared a reference-wide filter: its own mini index, tags,
+// search indicators and position ranges, from one sort of packed
+// (k-mer, position) keys and a single pass over them.
+type oracleFilter struct {
+	cfg       Config
+	bucket    []int // distinct k-mers per m-mer prefix
+	kmers     []dna.Kmer
+	data      []SearchIndicator
+	posIndex  []int
+	positions []int32
+}
+
+func buildFilterOracle(part dna.Sequence, cfg Config) *oracleFilter {
 	posBits := bitsFor(len(part))
 	var keys []uint64
 	for x := 0; x+cfg.K <= len(part); x++ {
 		keys = append(keys, uint64(dna.PackKmer(part, x, cfg.K))<<uint(posBits)|uint64(x))
 	}
 	slices.Sort(keys)
-	f := &Filter{cfg: cfg, mini: make([]tagRange, dna.NumKmers(cfg.M))}
-	f.initDerived()
-	var prefixes []uint64
+	f := &oracleFilter{cfg: cfg, bucket: make([]int, dna.NumKmers(cfg.M))}
 	for i, key := range keys {
-		kmer, x := key>>uint(posBits), int(key&(1<<uint(posBits)-1))
-		if i == 0 || kmer != keys[i-1]>>uint(posBits) {
-			f.tags = append(f.tags, kmer&f.suffixMask)
+		kmer, x := dna.Kmer(key>>uint(posBits)), int(key&(1<<uint(posBits)-1))
+		if i == 0 || kmer != f.kmers[len(f.kmers)-1] {
+			f.kmers = append(f.kmers, kmer)
 			f.data = append(f.data, SearchIndicator{})
-			f.posIndex = append(f.posIndex, int32(len(f.positions)))
-			prefixes = append(prefixes, kmer>>f.suffixBits)
+			f.posIndex = append(f.posIndex, len(f.positions))
+			f.bucket[f.prefix(kmer)]++
 		}
 		last := len(f.data) - 1
 		f.data[last] = f.data[last].addOccurrence(x, cfg.Stride, cfg.Groups)
 		f.positions = append(f.positions, int32(x))
 	}
-	f.posIndex = append(f.posIndex, int32(len(f.positions)))
-	idx := 0
-	for p := range f.mini {
-		start := idx
-		for idx < len(prefixes) && prefixes[idx] == uint64(p) {
-			idx++
-		}
-		f.mini[p] = tagRange{start: int32(start), end: int32(idx)}
-	}
+	f.posIndex = append(f.posIndex, len(f.positions))
 	return f
 }
 
-func sameFilter(t *testing.T, what string, got, want *Filter) {
+func (f *oracleFilter) prefix(kmer dna.Kmer) uint64 { return uint64(kmer) >> uint(2*(f.cfg.K-f.cfg.M)) }
+
+// sameFilter requires a partition's filter view to answer every present
+// k-mer and a sample of absent ones exactly as the oracle's own table
+// would, charges included, and the partition's stored positions to be the
+// oracle's.
+func sameFilter(t *testing.T, what string, rng *rand.Rand, got *Filter, stored []int32, want *oracleFilter) {
 	t.Helper()
-	switch {
-	case !slices.Equal(got.tags, want.tags):
-		t.Fatalf("%s: tags differ", what)
-	case !slices.Equal(got.data, want.data):
-		t.Fatalf("%s: search indicators differ", what)
-	case !slices.Equal(got.posIndex, want.posIndex):
-		t.Fatalf("%s: posIndex differs", what)
-	case !slices.Equal(got.positions, want.positions):
-		t.Fatalf("%s: positions differ", what)
-	case !slices.Equal(got.mini, want.mini):
-		t.Fatalf("%s: mini index differs", what)
+	if got.DistinctKmers() != len(want.kmers) {
+		t.Fatalf("%s: %d distinct k-mers, want %d", what, got.DistinctKmers(), len(want.kmers))
+	}
+	if !slices.Equal(stored, want.positions) {
+		t.Fatalf("%s: stored positions differ", what)
+	}
+	check := func(kmer dna.Kmer, i int, present bool) {
+		before := got.Stats
+		ind, ok := got.Lookup(kmer)
+		d := got.Stats
+		if ok != present || d.Lookups-before.Lookups != 1 || d.TagRowsEnabled-before.TagRowsEnabled != int64(want.bucket[want.prefix(kmer)]) {
+			t.Fatalf("%s: k-mer %d: found %v (want %v), tag rows %d (want %d)", what, kmer, ok, present,
+				d.TagRowsEnabled-before.TagRowsEnabled, want.bucket[want.prefix(kmer)])
+		}
+		if !present {
+			if got.Positions(kmer) != nil {
+				t.Fatalf("%s: absent k-mer %d has positions", what, kmer)
+			}
+			return
+		}
+		if ind != want.data[i] {
+			t.Fatalf("%s: k-mer %d indicator %+v, want %+v", what, kmer, ind, want.data[i])
+		}
+		if !slices.Equal(got.Positions(kmer), want.positions[want.posIndex[i]:want.posIndex[i+1]]) {
+			t.Fatalf("%s: k-mer %d positions differ", what, kmer)
+		}
+	}
+	for i, kmer := range want.kmers {
+		check(kmer, i, true)
+	}
+	for j := 0; j < 50; j++ {
+		kmer := dna.Kmer(rng.Int63n(int64(dna.NumKmers(want.cfg.K))))
+		if _, found := slices.BinarySearch(want.kmers, kmer); !found {
+			check(kmer, 0, false)
+		}
 	}
 }
 
@@ -206,10 +236,11 @@ func TestDerivedFilterMatchesBuild(t *testing.T) {
 		if built.Partitions() != loaded.Partitions() {
 			t.Fatalf("case %d: %d partitions loaded, %d built", c, loaded.Partitions(), built.Partitions())
 		}
+		builtPos, loadedPos := built.idx.partPositions(), loaded.idx.partPositions()
 		for i, p := range built.parts {
 			want := buildFilterOracle(p.ref, cfg)
-			sameFilter(t, "build", p.filter, want)
-			sameFilter(t, "load", loaded.parts[i].filter, want)
+			sameFilter(t, "build", rng, p.filter, builtPos[i], want)
+			sameFilter(t, "load", rng, loaded.parts[i].filter, loadedPos[i], want)
 		}
 	}
 }
@@ -259,10 +290,10 @@ func TestLoadIndexRejectsInconsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	var positions []int32
-	for _, p := range a.parts {
-		positions = append(positions, p.filter.positions...)
+	for _, pos := range a.idx.partPositions() {
+		positions = append(positions, pos...)
 	}
-	n0 := len(a.parts[0].filter.positions) // partition 0's k-mer count
+	n0 := len(a.idx.partPositions()[0]) // partition 0's k-mer count
 	configJSON := func(c Config, overlap int) []byte {
 		b, err := json.Marshal(savedConfig{c, overlap})
 		if err != nil {
@@ -297,6 +328,10 @@ func TestLoadIndexRejectsInconsistent(t *testing.T) {
 
 	badCfg := cfg
 	badCfg.M = cfg.K
+	// A geometry Validate accepts whose 4^11-row mini index dwarfs the
+	// few hundred positions the index stores.
+	bigMini := cfg
+	bigMini.K, bigMini.M, bigMini.MinSMEM = 19, 11, 19
 	for _, tc := range []struct {
 		name                  string
 		config, ref, position []byte
@@ -334,6 +369,9 @@ func TestLoadIndexRejectsInconsistent(t *testing.T) {
 		{"config fails Validate",
 			configJSON(badCfg, overlap), refBuf.Bytes(), encode(positions),
 			configSection, "m="},
+		{"mini index beyond the stored positions",
+			configJSON(bigMini, overlap), refBuf.Bytes(), encode(positions),
+			configSection, "mini index"},
 		{"negative overlap",
 			configJSON(cfg, -1), refBuf.Bytes(), encode(positions),
 			configSection, "overlap"},
