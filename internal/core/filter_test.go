@@ -172,7 +172,7 @@ func TestFilterStatsAccounting(t *testing.T) {
 		t.Errorf("range decoder gating ineffective: %d rows for %d tags",
 			s.TagRowsEnabled, f.DistinctKmers())
 	}
-	// Positions and Contains-via-findQuiet must not charge stats.
+	// Positions must not charge stats.
 	before := f.Stats
 	f.Positions(dna.PackKmer(part, 0, cfg.K))
 	if f.Stats != before {
